@@ -146,13 +146,13 @@ type condCand struct {
 
 // chanInfo aggregates the per-channel operation census.
 type chanInfo struct {
-	hardSends   int
-	hardRecvs   int
-	selSends    int
-	selRecvs    int
-	closed      bool
-	sendSite    string // first unconditional send site, for reports
-	opsBy       map[trace.GoID]bool
+	hardSends int
+	hardRecvs int
+	selSends  int
+	selRecvs  int
+	closed    bool
+	sendSite  string // first unconditional send site, for reports
+	opsBy     map[trace.GoID]bool
 }
 
 // chanLockRec records a channel operation performed under a held lock.

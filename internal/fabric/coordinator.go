@@ -197,7 +197,7 @@ func (c *Coordinator) sweepLocked(now time.Time) []harness.Cell {
 			u.state = unitPoisoned
 			u.cell = harness.Cell{
 				Bug: u.u.Bug, Tool: u.u.Tool, Status: harness.CellHung,
-				Err: fmt.Sprintf("poison cell: %d leases expired (workers crashed or hung evaluating it)", u.assigns),
+				Err:     fmt.Sprintf("poison cell: %d leases expired (workers crashed or hung evaluating it)", u.assigns),
 				Retries: u.assigns - 1,
 			}
 			c.mergeLocked(u, u.cell)

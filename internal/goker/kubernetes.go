@@ -135,7 +135,7 @@ func kubernetes6632(g *sim.G) {
 	gate := conc.NewChan[struct{}](g, 1)
 	g.Go("writer", func(c *sim.G) {
 		gate.TrySend(c, struct{}{}) // announce the update round
-		if updates.Len(c) == 0 {     // believed-free buffer...
+		if updates.Len(c) == 0 {    // believed-free buffer...
 			mu.Lock(c)
 			updates.Send(c, 1) // ...BUG: may have filled meanwhile
 			mu.Unlock(c)

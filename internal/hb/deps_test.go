@@ -65,13 +65,13 @@ func TestDependentBasics(t *testing.T) {
 
 func TestEnabledAtTimeline(t *testing.T) {
 	tr := traceOf(
-		trace.Event{G: 1, Type: trace.EvGoStart},              // 0
-		trace.Event{G: 1, Type: trace.EvGoCreate, Peer: 2},    // 1
+		trace.Event{G: 1, Type: trace.EvGoStart},                                      // 0
+		trace.Event{G: 1, Type: trace.EvGoCreate, Peer: 2},                            // 1
 		trace.Event{G: 1, Type: trace.EvGoBlock, Res: 4, Aux: int64(trace.BlockRecv)}, // 2
-		trace.Event{G: 2, Type: trace.EvGoStart},              // 3
-		trace.Event{G: 2, Type: trace.EvGoUnblock, Peer: 1, Res: 4}, // 4
-		trace.Event{G: 2, Type: trace.EvGoEnd},                // 5
-		trace.Event{G: 1, Type: trace.EvGoEnd},                // 6
+		trace.Event{G: 2, Type: trace.EvGoStart},                                      // 3
+		trace.Event{G: 2, Type: trace.EvGoUnblock, Peer: 1, Res: 4},                   // 4
+		trace.Event{G: 2, Type: trace.EvGoEnd},                                        // 5
+		trace.Event{G: 1, Type: trace.EvGoEnd},                                        // 6
 	)
 	d := BuildDeps(tr, Must)
 	checks := []struct {
@@ -206,12 +206,12 @@ func racingMultiset(d *Deps) map[string]int {
 }
 
 func FuzzDPORDependence(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 0, 2, 0})                      // two sends, same chan
-	f.Add([]byte{3, 0, 1, 3, 1, 1, 4, 0, 1, 4, 1, 1})    // lock/lock then unlocks
-	f.Add([]byte{9, 0, 2, 10, 1, 2, 9, 2, 2})            // read/write/read var
-	f.Add([]byte{11, 0, 0, 12, 1, 0, 0, 0, 0, 1, 1, 0})  // block, wake, send, recv
-	f.Add([]byte{7, 0, 1, 8, 1, 1, 13, 2, 0, 5, 3, 1})   // wg add/wait, sched, rlock
-	f.Add([]byte{2, 0, 0, 1, 1, 0, 1, 2, 0, 0, 3, 0})    // close then receives
+	f.Add([]byte{0, 1, 0, 0, 2, 0})                     // two sends, same chan
+	f.Add([]byte{3, 0, 1, 3, 1, 1, 4, 0, 1, 4, 1, 1})   // lock/lock then unlocks
+	f.Add([]byte{9, 0, 2, 10, 1, 2, 9, 2, 2})           // read/write/read var
+	f.Add([]byte{11, 0, 0, 12, 1, 0, 0, 0, 0, 1, 1, 0}) // block, wake, send, recv
+	f.Add([]byte{7, 0, 1, 8, 1, 1, 13, 2, 0, 5, 3, 1})  // wg add/wait, sched, rlock
+	f.Add([]byte{2, 0, 0, 1, 1, 0, 1, 2, 0, 0, 3, 0})   // close then receives
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*64 {

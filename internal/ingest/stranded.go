@@ -19,11 +19,11 @@ import (
 
 // Stranded is one goroutine flagged as likely leaked at window end.
 type Stranded struct {
-	G         trace.GoID
-	Name      string            // root function
-	Reason    trace.BlockReason // why it is parked
-	File      string            // block site
-	Line      int
+	G          trace.GoID
+	Name       string            // root function
+	Reason     trace.BlockReason // why it is parked
+	File       string            // block site
+	Line       int
 	CreateFile string // go-statement site ("" for orphans)
 	CreateLine int
 	BlockedNs  int64 // park duration at window end
@@ -85,7 +85,13 @@ type StrandedOpts struct {
 // Everything else blocked at window end is reported, grouped and
 // ordered by signature so output is deterministic.
 func (r *Run) StrandedGoroutines(opts StrandedOpts) []Stranded {
-	var out []Stranded
+	// Each entry's signature is rendered once: it is both the sort key
+	// and the sibling-group key.
+	type entry struct {
+		sig string
+		s   Stranded
+	}
+	var es []entry
 	for _, gi := range r.Gs {
 		if !gi.Blocked || gi.System || gi.Ended {
 			continue
@@ -97,31 +103,38 @@ func (r *Run) StrandedGoroutines(opts StrandedOpts) []Stranded {
 		if opts.MinBlockedNs > 0 && gi.BlockedNs < opts.MinBlockedNs {
 			continue
 		}
+		if !opts.IncludeWorkers && isWorkerShaped(gi) {
+			continue
+		}
 		s := Stranded{
 			G: gi.ID, Name: gi.Name, Reason: gi.Reason,
 			File: gi.File, Line: gi.Line,
 			CreateFile: gi.CreateFile, CreateLine: gi.CreateLine,
 			BlockedNs: gi.BlockedNs, Wakes: gi.Wakes,
 		}
-		if !opts.IncludeWorkers && isWorkerShaped(gi) {
-			continue
-		}
-		out = append(out, s)
+		es = append(es, entry{sig: s.Signature(), s: s})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := out[i].Signature(), out[j].Signature()
-		if si != sj {
-			return si < sj
+	if len(es) == 0 {
+		return nil
+	}
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].sig != es[j].sig {
+			return es[i].sig < es[j].sig
 		}
-		return out[i].G < out[j].G
+		return es[i].s.G < es[j].s.G
 	})
-	// Sibling counts: how many goroutines share each signature.
-	counts := map[string]int{}
-	for _, s := range out {
-		counts[s.Signature()]++
-	}
-	for i := range out {
-		out[i].Siblings = counts[out[i].Signature()]
+	// Sibling counts: goroutines sharing a signature are adjacent now.
+	out := make([]Stranded, len(es))
+	for i := 0; i < len(es); {
+		j := i + 1
+		for j < len(es) && es[j].sig == es[i].sig {
+			j++
+		}
+		for k := i; k < j; k++ {
+			out[k] = es[k].s
+			out[k].Siblings = j - i
+		}
+		i = j
 	}
 	return out
 }

@@ -12,7 +12,7 @@
 package ingest
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 )
@@ -21,57 +21,57 @@ import (
 // numbering (internal/trace/event/go122). Only the events the converter
 // interprets are named; everything else is skipped by spec arity.
 const (
-	wevNone             = 0
-	wevEventBatch       = 1
-	wevStacks           = 2
-	wevStack            = 3
-	wevStrings          = 4
-	wevString           = 5
-	wevCPUSamples       = 6
-	wevCPUSample        = 7
-	wevFrequency        = 8
-	wevProcsChange      = 9
-	wevProcStart        = 10
-	wevProcStop         = 11
-	wevProcSteal        = 12
-	wevProcStatus       = 13
-	wevGoCreate         = 14
-	wevGoCreateSyscall  = 15
-	wevGoStart          = 16
-	wevGoDestroy        = 17
-	wevGoDestroySysc    = 18
-	wevGoStop           = 19
-	wevGoBlock          = 20
-	wevGoUnblock        = 21
-	wevGoSyscallBegin   = 22
-	wevGoSyscallEnd     = 23
-	wevGoSyscallEndBl   = 24
-	wevGoStatus         = 25
-	wevSTWBegin         = 26
-	wevSTWEnd           = 27
-	wevGCActive         = 28
-	wevGCBegin          = 29
-	wevGCEnd            = 30
-	wevGCSweepActive    = 31
-	wevGCSweepBegin     = 32
-	wevGCSweepEnd       = 33
-	wevGCMarkAssistAct  = 34
-	wevGCMarkAssistBeg  = 35
-	wevGCMarkAssistEnd  = 36
-	wevHeapAlloc        = 37
-	wevHeapGoal         = 38
-	wevGoLabel          = 39
-	wevUserTaskBegin    = 40
-	wevUserTaskEnd      = 41
-	wevUserRegionBegin  = 42
-	wevUserRegionEnd    = 43
-	wevUserLog          = 44
-	wevGoSwitch         = 45
-	wevGoSwitchDestroy  = 46
-	wevGoCreateBlocked  = 47
-	wevGoStatusStack    = 48
-	wevExperimentBatch  = 49
-	wevMax              = 50
+	wevNone            = 0
+	wevEventBatch      = 1
+	wevStacks          = 2
+	wevStack           = 3
+	wevStrings         = 4
+	wevString          = 5
+	wevCPUSamples      = 6
+	wevCPUSample       = 7
+	wevFrequency       = 8
+	wevProcsChange     = 9
+	wevProcStart       = 10
+	wevProcStop        = 11
+	wevProcSteal       = 12
+	wevProcStatus      = 13
+	wevGoCreate        = 14
+	wevGoCreateSyscall = 15
+	wevGoStart         = 16
+	wevGoDestroy       = 17
+	wevGoDestroySysc   = 18
+	wevGoStop          = 19
+	wevGoBlock         = 20
+	wevGoUnblock       = 21
+	wevGoSyscallBegin  = 22
+	wevGoSyscallEnd    = 23
+	wevGoSyscallEndBl  = 24
+	wevGoStatus        = 25
+	wevSTWBegin        = 26
+	wevSTWEnd          = 27
+	wevGCActive        = 28
+	wevGCBegin         = 29
+	wevGCEnd           = 30
+	wevGCSweepActive   = 31
+	wevGCSweepBegin    = 32
+	wevGCSweepEnd      = 33
+	wevGCMarkAssistAct = 34
+	wevGCMarkAssistBeg = 35
+	wevGCMarkAssistEnd = 36
+	wevHeapAlloc       = 37
+	wevHeapGoal        = 38
+	wevGoLabel         = 39
+	wevUserTaskBegin   = 40
+	wevUserTaskEnd     = 41
+	wevUserRegionBegin = 42
+	wevUserRegionEnd   = 43
+	wevUserLog         = 44
+	wevGoSwitch        = 45
+	wevGoSwitchDestroy = 46
+	wevGoCreateBlocked = 47
+	wevGoStatusStack   = 48
+	wevExperimentBatch = 49
+	wevMax             = 50
 )
 
 // wireSpec describes how to read one event: its uvarint argument count
@@ -145,22 +145,35 @@ type wireFrame struct {
 	line   uint64
 }
 
+// maxTimedArgs is the largest argument count of a timed event after its
+// dt: wireEvent stores the arguments inline so no event allocates.
+const maxTimedArgs = 4
+
 // wireEvent is one timed event attributed to its batch: generation, M,
-// absolute timestamp in ticks, and the raw argument vector (dt
-// replaced by the absolute timestamp).
+// absolute timestamp in ticks, and the raw arguments after the dt.
+// Events are stored in file order; their index in wireTrace.events is
+// the tie-break of the converter's timestamp sort.
 type wireEvent struct {
-	gen  uint64
-	m    uint64
 	ts   uint64 // absolute ticks
+	m    uint64
+	args [maxTimedArgs]uint64 // spec args minus dt, zero-padded
+	gen  uint32               // index into wireTrace.gens
 	typ  byte
-	args []uint64 // spec args minus dt
-	seq  int      // arrival index, the tie-break of the merge sort
+
+	// Filled by the converter's attribution pass (convert.go): the
+	// goroutine running on the M when the event happened, and the
+	// goroutine named by args[0] for the event types that name one, as
+	// indices into converter.gs; -1 when there is none.
+	g, target int32
 }
 
 // generation groups one generation's tables.
 type generation struct {
 	strings map[uint64]string
 	stacks  map[uint64][]wireFrame
+
+	// resolved caches each stack the converter has looked up (convert.go).
+	resolved map[uint64]*stackInfo
 }
 
 // wireCPUSample is one profiling-clock sample as written into the
@@ -168,7 +181,7 @@ type generation struct {
 // absolute (not a batch-relative dt) and it names its goroutine
 // explicitly rather than relying on M attribution.
 type wireCPUSample struct {
-	gen   uint64
+	gen   uint32 // index into wireTrace.gens
 	ts    uint64 // absolute ticks
 	m     uint64
 	p     uint64
@@ -183,77 +196,105 @@ type wireTrace struct {
 	freq       float64
 	events     []wireEvent
 	cpuSamples []wireCPUSample
-	gens       map[uint64]*generation
+	gens       []*generation     // in order of first appearance
+	genIndex   map[uint64]uint32 // generation number → index into gens
+	typeCount  [wevMax]int       // timed events per type
 }
 
-func (w *wireTrace) gen(id uint64) *generation {
-	g, ok := w.gens[id]
+// gen returns the index of generation id, creating its tables on first
+// use.
+func (w *wireTrace) gen(id uint64) uint32 {
+	i, ok := w.genIndex[id]
 	if !ok {
-		g = &generation{strings: map[uint64]string{}, stacks: map[uint64][]wireFrame{}}
-		w.gens[id] = g
+		i = uint32(len(w.gens))
+		w.genIndex[id] = i
+		w.gens = append(w.gens, &generation{
+			strings:  map[uint64]string{},
+			stacks:   map[uint64][]wireFrame{},
+			resolved: map[uint64]*stackInfo{},
+		})
 	}
-	return g
+	return i
 }
 
 // maxWireEvents bounds parsing so a corrupt size field cannot allocate
 // unboundedly: 64M timed events is far beyond any fixture or CI trace.
 const maxWireEvents = 64 << 20
 
-// parseWire reads a complete native execution trace.
-func parseWire(r io.Reader) (*wireTrace, error) {
-	br := bufio.NewReader(r)
+// maxStackFrames bounds one stack record.
+const maxStackFrames = 1024
+
+// readInput reads all of r. A reader that knows its length (bytes and
+// strings readers) is read into a buffer of exactly that size.
+func readInput(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead) // room for the final EOF read
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("ingest: reading trace: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// parseWire reads a complete native execution trace held in memory.
+// Every allocation is bounded by the bytes actually present: payloads
+// and stack tables are checked against the remaining input before they
+// are materialized, and the event slice is sized by a counting pre-pass.
+func parseWire(data []byte) (*wireTrace, error) {
+	hr := bytes.NewReader(data)
 	var version int
-	if _, err := fmt.Fscanf(br, "go 1.%d trace\x00\x00\x00", &version); err != nil {
+	if _, err := fmt.Fscanf(hr, "go 1.%d trace\x00\x00\x00", &version); err != nil {
 		return nil, fmt.Errorf("ingest: not a Go execution trace (bad header): %w", err)
 	}
 	if version != 22 && version != 23 {
 		return nil, fmt.Errorf("ingest: unsupported trace version go 1.%d (want 1.22 or 1.23)", version)
 	}
-	w := &wireTrace{version: version, gens: map[uint64]*generation{}}
+	br := wireReader{b: data, off: len(data) - hr.Len()}
+	w := &wireTrace{version: version, genIndex: map[uint64]uint32{}}
+	w.events = make([]wireEvent, 0, min(countTimed(br), maxWireEvents))
 
 	// Batch cursor: the current batch's generation and M, and the
-	// cumulative timestamp of the last timed event read from it.
-	var curGen, curM, lastTs uint64
+	// cumulative timestamp of the last timed event read from it. Tables
+	// met before any batch header belong to generation 0.
+	curGen := w.gen(0)
+	var curM, lastTs uint64
 	inBatch := false
 	seq := 0
 
-	for {
-		typ, err := br.ReadByte()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ingest: reading event type: %w", err)
-		}
+	for br.off < len(br.b) {
+		typ := br.b[br.off]
+		br.off++
 		if typ == wevNone || int(typ) >= wevMax {
 			return nil, fmt.Errorf("ingest: invalid event type byte %d at event %d", typ, seq)
 		}
 		spec := wireSpecs[typ]
-		args := make([]uint64, spec.args)
-		for i := range args {
-			if args[i], err = readUvarint(br); err != nil {
+		var args [maxTimedArgs + 1]uint64
+		for i := 0; i < spec.args; i++ {
+			var err error
+			if args[i], err = br.uvarint(); err != nil {
 				return nil, fmt.Errorf("ingest: event %d (type %d) arg %d: %w", seq, typ, i, err)
 			}
 		}
 		switch typ {
 		case wevEventBatch:
 			// [gen, m, time, size]
-			curGen, curM, lastTs = args[0], args[1], args[2]
+			curGen, curM, lastTs = w.gen(args[0]), args[1], args[2]
 			inBatch = true
 		case wevExperimentBatch:
 			// [exp, gen, m, time] + data payload: opaque, skip.
-			if err := skipData(br); err != nil {
+			if _, err := br.data(); err != nil {
 				return nil, fmt.Errorf("ingest: experimental batch payload: %w", err)
 			}
 		case wevFrequency:
 			w.freq = 1e9 / float64(args[0]) // ticks/sec → ns per tick
 		case wevString:
 			// [id] + data payload.
-			data, err := readData(br)
+			data, err := br.data()
 			if err != nil {
 				return nil, fmt.Errorf("ingest: string %d payload: %w", args[0], err)
 			}
-			w.gen(curGen).strings[args[0]] = string(data)
+			w.gens[curGen].strings[args[0]] = string(data)
 		case wevCPUSample:
 			// [time, m, p, g, stack]: absolute timestamp, carried in a
 			// dedicated CPU-sample batch of the enclosing generation.
@@ -264,21 +305,22 @@ func parseWire(r io.Reader) (*wireTrace, error) {
 			}
 		case wevStack:
 			// [id, nframes] + nframes × {pc, funcID, fileID, line}.
-			n := int(args[1])
-			if n > 1024 {
+			n := args[1]
+			if n > maxStackFrames || n*4 > uint64(len(br.b)-br.off) {
 				return nil, fmt.Errorf("ingest: stack %d has implausible frame count %d", args[0], n)
 			}
 			frames := make([]wireFrame, n)
 			for i := range frames {
 				var f [4]uint64
 				for j := range f {
-					if f[j], err = readUvarint(br); err != nil {
+					var err error
+					if f[j], err = br.uvarint(); err != nil {
 						return nil, fmt.Errorf("ingest: stack %d frame %d: %w", args[0], i, err)
 					}
 				}
 				frames[i] = wireFrame{pc: f[0], funcID: f[1], fileID: f[2], line: f[3]}
 			}
-			w.gen(curGen).stacks[args[0]] = frames
+			w.gens[curGen].stacks[args[0]] = frames
 		default:
 			if !spec.timed {
 				break // section headers (Stacks/Strings/CPUSamples)
@@ -290,9 +332,10 @@ func parseWire(r io.Reader) (*wireTrace, error) {
 			if len(w.events) >= maxWireEvents {
 				return nil, fmt.Errorf("ingest: more than %d timed events; refusing", maxWireEvents)
 			}
-			w.events = append(w.events, wireEvent{
-				gen: curGen, m: curM, ts: lastTs, typ: typ, args: args[1:], seq: seq,
-			})
+			ev := wireEvent{gen: curGen, m: curM, ts: lastTs, typ: typ}
+			copy(ev.args[:], args[1:])
+			w.events = append(w.events, ev)
+			w.typeCount[typ]++
 		}
 		seq++
 	}
@@ -305,15 +348,64 @@ func parseWire(r io.Reader) (*wireTrace, error) {
 	return w, nil
 }
 
-// readUvarint is binary.ReadUvarint without the interface indirection.
-func readUvarint(br *bufio.Reader) (uint64, error) {
+// countTimed returns how many timed events parseWire will store, at
+// most: it walks the same record structure without decoding arguments it
+// does not need, and stops at the first truncated record.
+func countTimed(br wireReader) int {
+	n := 0
+	for br.off < len(br.b) {
+		typ := br.b[br.off]
+		br.off++
+		if typ == wevNone || int(typ) >= wevMax {
+			return n
+		}
+		spec := wireSpecs[typ]
+		var nframes uint64
+		for i := 0; i < spec.args; i++ {
+			if spec.isStack && i == 1 {
+				v, err := br.uvarint()
+				if err != nil || v > maxStackFrames {
+					return n
+				}
+				nframes = v
+			} else if !br.skipUvarint() {
+				return n
+			}
+		}
+		switch {
+		case spec.hasData:
+			if _, err := br.data(); err != nil {
+				return n
+			}
+		case spec.isStack:
+			for i := uint64(0); i < 4*nframes; i++ {
+				if !br.skipUvarint() {
+					return n
+				}
+			}
+		case spec.timed:
+			n++
+		}
+	}
+	return n
+}
+
+// wireReader decodes the record stream of an in-memory trace.
+type wireReader struct {
+	b   []byte
+	off int
+}
+
+// uvarint is binary.Uvarint with the wire parser's error vocabulary.
+func (r *wireReader) uvarint() (uint64, error) {
 	var x uint64
 	var s uint
 	for i := 0; ; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
+		if r.off >= len(r.b) {
+			return 0, io.ErrUnexpectedEOF
 		}
+		b := r.b[r.off]
+		r.off++
 		if b < 0x80 {
 			if i == 9 && b > 1 {
 				return 0, fmt.Errorf("uvarint overflows 64 bits")
@@ -328,31 +420,31 @@ func readUvarint(br *bufio.Reader) (uint64, error) {
 	}
 }
 
-func readData(br *bufio.Reader) ([]byte, error) {
-	n, err := readUvarint(br)
-	if err != nil {
-		return nil, err
+// skipUvarint steps over one uvarint, reporting whether it was complete.
+func (r *wireReader) skipUvarint() bool {
+	for r.off < len(r.b) {
+		b := r.b[r.off]
+		r.off++
+		if b < 0x80 {
+			return true
+		}
 	}
-	if n > 1<<24 {
-		return nil, fmt.Errorf("payload too long (%d)", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return false
 }
 
-func skipData(br *bufio.Reader) error {
-	n, err := readUvarint(br)
+// data returns a length-prefixed payload as a view into the input, after
+// checking that the input holds all of it.
+func (r *wireReader) data() ([]byte, error) {
+	n, err := r.uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if n > 1<<30 {
-		return fmt.Errorf("payload too long (%d)", n)
+	if n > uint64(len(r.b)-r.off) {
+		return nil, fmt.Errorf("payload of %d bytes overruns the input (%d left): %w", n, len(r.b)-r.off, io.ErrUnexpectedEOF)
 	}
-	_, err = io.CopyN(io.Discard, br, int64(n))
-	return err
+	d := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return d, nil
 }
 
 // frameInfo is a resolved stack frame.
@@ -364,14 +456,11 @@ type frameInfo struct {
 
 // resolveStack maps a stack ID to resolved frames, leaf first. Stack 0
 // means "no stack".
-func (w *wireTrace) resolveStack(gen, id uint64) []frameInfo {
+func (w *wireTrace) resolveStack(gen uint32, id uint64) []frameInfo {
 	if id == 0 {
 		return nil
 	}
-	g, ok := w.gens[gen]
-	if !ok {
-		return nil
-	}
+	g := w.gens[gen]
 	frames := g.stacks[id]
 	out := make([]frameInfo, 0, len(frames))
 	for _, f := range frames {
@@ -385,9 +474,6 @@ func (w *wireTrace) resolveStack(gen, id uint64) []frameInfo {
 }
 
 // str resolves a string-table reference.
-func (w *wireTrace) str(gen, id uint64) string {
-	if g, ok := w.gens[gen]; ok {
-		return g.strings[id]
-	}
-	return ""
+func (w *wireTrace) str(gen uint32, id uint64) string {
+	return w.gens[gen].strings[id]
 }

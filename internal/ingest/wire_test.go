@@ -3,7 +3,7 @@ package ingest
 import (
 	"bytes"
 	"os"
-	"strings"
+	"runtime"
 	"testing"
 )
 
@@ -20,7 +20,7 @@ func TestParseWireRejectsBadHeader(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := parseWire(strings.NewReader(c.input)); err == nil {
+			if _, err := parseWire([]byte(c.input)); err == nil {
 				t.Fatal("parseWire accepted invalid input")
 			}
 		})
@@ -40,7 +40,7 @@ func TestParseWireTruncationRobustness(t *testing.T) {
 		step = 97
 	}
 	for n := 0; n < len(data); n += step {
-		_, _ = parseWire(bytes.NewReader(data[:n])) // must not panic
+		_, _ = parseWire(data[:n]) // must not panic
 	}
 }
 
@@ -56,7 +56,7 @@ func TestParseWireCorruptionRobustness(t *testing.T) {
 	for i := header; i < len(data); i += 31 {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
-		w, err := parseWire(bytes.NewReader(mut))
+		w, err := parseWire(mut)
 		if err != nil {
 			continue
 		}
@@ -67,12 +67,11 @@ func TestParseWireCorruptionRobustness(t *testing.T) {
 }
 
 func TestParseWireTables(t *testing.T) {
-	f, err := os.Open(leakyFixture)
+	data, err := os.ReadFile(leakyFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	w, err := parseWire(f)
+	w, err := parseWire(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +100,11 @@ func TestParseWireTables(t *testing.T) {
 	// Every referenced stack resolves to frames with file:line.
 	resolved := 0
 	for _, ev := range w.events {
-		if len(ev.args) == 0 {
+		n := wireSpecs[ev.typ].args - 1 // arguments after the dt
+		if n == 0 {
 			continue
 		}
-		for _, fr := range w.resolveStack(ev.gen, ev.args[len(ev.args)-1]) {
+		for _, fr := range w.resolveStack(ev.gen, ev.args[n-1]) {
 			if fr.file != "" && fr.line > 0 {
 				resolved++
 			}
@@ -112,5 +112,39 @@ func TestParseWireTables(t *testing.T) {
 	}
 	if resolved == 0 {
 		t.Error("no stack frame resolved to a source location")
+	}
+}
+
+// allocDuring returns how many bytes f allocated.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestParseBoundsAllocation feeds ~32-byte captures whose length fields
+// declare far more data than they carry: the parser must reject them
+// without allocating what they declare.
+func TestParseBoundsAllocation(t *testing.T) {
+	batch := func() *wireBuf { return newWireBuf().rec(wevEventBatch, 1, 0, 0, 0) }
+	cases := map[string][]byte{
+		"16MiB-string":     batch().rec(wevString, 1, 16<<20).b,
+		"16MiB-experiment": batch().rec(wevExperimentBatch, 0, 1, 0, 0, 16<<20).b,
+		"1024-frame-stack": batch().rec(wevStack, 1, 1024).b,
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			var err error
+			n := allocDuring(func() { _, err = Parse(bytes.NewReader(data)) })
+			if err == nil {
+				t.Fatal("Parse accepted a truncated capture")
+			}
+			if n >= 1<<20 {
+				t.Errorf("a %d-byte input allocated %d bytes", len(data), n)
+			}
+		})
 	}
 }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -96,4 +99,34 @@ func FuzzECTRoundTrip(f *testing.F) {
 			t.Fatalf("encode is not a fixpoint: %x vs %x", b1.Bytes(), b2.Bytes())
 		}
 	})
+}
+
+// TestDecodeBoundsAllocation feeds ~32-byte encodings whose headers
+// declare far more than they carry — a 16 MiB string, 2^30 events: Decode
+// must reject them without allocating what they declare, whether or not
+// the reader knows its length.
+func TestDecodeBoundsAllocation(t *testing.T) {
+	uv := func(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+	// One event whose File declares 16 MiB: ts, g, type, then the length.
+	bigString := uv(uv(uv(uv(uv([]byte(magic), 1), 2), 2), uint64(EvGoStart)), 1<<24)
+	manyEvents := uv([]byte(magic), 1<<30)
+	for name, data := range map[string][]byte{"16MiB-string": bigString, "2^30-events": manyEvents} {
+		for _, sized := range []bool{true, false} {
+			var r io.Reader = bytes.NewReader(data)
+			if !sized {
+				r = io.MultiReader(r) // hides Len
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, err := Decode(r)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s (sized=%v): Decode accepted a truncated encoding", name, sized)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+				t.Errorf("%s (sized=%v): a %d-byte input allocated %d bytes", name, sized, len(data), n)
+			}
+		}
+	}
 }
