@@ -127,6 +127,32 @@ func TestSystemGoroutinesSuppressed(t *testing.T) {
 	}
 }
 
+// TestSamplesMergeByFoldedStack pins that samples are keyed by their
+// folded rendering: two block sites in different directories whose
+// trimmed paths coincide fold into one sample.
+func TestSamplesMergeByFoldedStack(t *testing.T) {
+	tr := trace.New(8)
+	for i, e := range []trace.Event{
+		{G: 1, Type: trace.EvGoStart},
+		{G: 1, Type: trace.EvGoCreate, Peer: 2, Str: "worker", File: "pool.go", Line: 10},
+		{G: 1, Type: trace.EvGoCreate, Peer: 3, Str: "worker", File: "pool.go", Line: 10},
+		{G: 2, Type: trace.EvGoStart},
+		{G: 2, Type: trace.EvGoBlock, Aux: int64(trace.BlockSend), File: "/a/x/pkg/f.go", Line: 7},
+		{G: 3, Type: trace.EvGoStart},
+		{G: 3, Type: trace.EvGoBlock, Aux: int64(trace.BlockSend), File: "/b/y/pkg/f.go", Line: 7},
+	} {
+		e.Ts = int64(i + 1)
+		tr.Append(e)
+	}
+	set := Build(tr, Options{})
+	if n := len(set.Block.Samples); n != 1 {
+		t.Fatalf("block samples = %d, want the two parks folded into 1:\n%s", n, set.Block.Top(0))
+	}
+	if s := set.Block.Samples[0]; s.Count != 2 || s.Stack[0].File != "/a/x/pkg/f.go" {
+		t.Errorf("sample = %+v, want count 2 under the first-seen site", s)
+	}
+}
+
 func TestWriteFoldedGolden(t *testing.T) {
 	set := Build(poolTrace(), Options{})
 	var buf bytes.Buffer
