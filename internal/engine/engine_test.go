@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"goat/internal/conc"
@@ -81,6 +82,52 @@ func TestParallelCellMatchesSequential(t *testing.T) {
 	}
 	if par.Runs < seq.Runs {
 		t.Errorf("parallel ran %d < sequential's %d executions", par.Runs, seq.Runs)
+	}
+}
+
+// TestParallelWorkersShareHostPool runs a two-worker campaign over the
+// simulator's shared pool of goroutine hosts. Its runs crash before a
+// child is dispatched, or leak a sender whose deferred send blocks again
+// while stopWorld unwinds it, so hosts leave their jobs several ways and
+// pass between the two workers' schedulers (checked under -race). Every
+// host must come back: a second campaign may not add real goroutines
+// beyond the two workers' peak.
+func TestParallelWorkersShareHostPool(t *testing.T) {
+	prog := func(g *sim.G) {
+		ch := conc.NewChan[int](g, 0)
+		g.Go("sender", func(c *sim.G) {
+			defer ch.Send(c, 2)
+			ch.Send(c, 1)
+			ch.Send(c, 3)
+		})
+		if g.Sched().Intn(4) == 0 {
+			panic("boom")
+		}
+		ch.Recv(g)
+	}
+	campaign := func() {
+		rep, err := engine.Run(context.Background(), engine.Config{
+			Prog: prog,
+			Plan: func(i int, _ *engine.Feedback) sim.Options {
+				return sim.Options{Seed: int64(i)}
+			},
+			Runs:     500,
+			Parallel: 2,
+			Detector: detect.Goat{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Runs != 500 {
+			t.Fatalf("campaign ran %d/500 executions", rep.Runs)
+		}
+	}
+	campaign()
+	before := runtime.NumGoroutine()
+	campaign()
+	// Two runs in flight hold at most two hosts each.
+	if n := runtime.NumGoroutine(); n > before+4 {
+		t.Fatalf("real goroutines leaked: before=%d after=%d", before, n)
 	}
 }
 

@@ -48,7 +48,7 @@ type G struct {
 
 	state  State
 	reason trace.BlockReason // valid while StateBlocked
-	resume chan struct{}
+	host   *host             // runs this goroutine's job; nil once the job ended
 
 	createFile string
 	createLine int

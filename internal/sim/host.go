@@ -1,42 +1,65 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 
 	"goat/internal/trace"
 )
 
-// A host is a parked real goroutine that lends its stack to simulated
-// goroutines, one at a time. Launching a fresh runtime goroutine (and
-// growing its stack) for every simulated goroutine dominated
-// service-shaped workloads, where a single run creates hundreds of
-// thousands of short-lived handlers; pooling keeps grown stacks warm
-// across simulated lifetimes and across runs. A host serves exactly one
-// simulated goroutine at a time and hands the processor through the same
-// resume/handoff ping-pong as before, so the scheduling discipline and
-// every recorded schedule are untouched.
+// A host is a pooled runtime coroutine (iter.Pull) that lends its stack
+// to simulated goroutines, one at a time. The scheduler switches into a
+// host with next; the hosted goroutine switches back out with yield when
+// it leaves the processor, and the host yields once more, reporting the
+// end, when the goroutine's job is over. A coroutine switch hands the
+// thread straight from one goroutine to the other without waking the Go
+// scheduler, and exactly one side runs at a time, so simulator state
+// needs no locks and every recorded schedule is what a strict ping-pong
+// between the scheduler loop and the running goroutine would produce.
+//
+// Hosts are pooled across simulated lifetimes and across runs: a fresh
+// iter.Pull costs more than the switches it saves on a short goroutine,
+// and a pooled host keeps its grown stack warm. Only the scheduler
+// returns a host to the pool, after next has returned with the job
+// ended. A host that put itself back before yielding could be taken and
+// resumed by another scheduler (engine.Parallel workers share the pool)
+// while it was still running, and next must never run concurrently.
+//
+// A host that still holds a job is never discarded with stop, which
+// would throw the coroutine away instead of pooling it. stopWorld
+// resumes every unfinished goroutine with the scheduler stopping; it
+// unwinds with a stopSignal panic, runs its defers, and ends its job like
+// any other. stop only retires idle hosts beyond hostFreeCap.
+//
+// Because a coroutine switch never enters the Go scheduler, dispatch
+// yields the real processor every 64 dispatches so that the garbage
+// collector's workers still get to run at GOMAXPROCS 1.
+//
+// The go1.23 build constraint raises this file's language version above
+// the module's go 1.22 line, as go vet requires of an iter importer; the
+// toolchain line in go.mod selects a Go that has iter.
 type host struct {
-	resume chan struct{}
-	jobs   chan hostJob
+	next  func() (ended, ok bool) // switch in; ended reports the job is over
+	stop  func()
+	yield func(ended bool) bool // switch out
+	g     *G
+	fn    func(*G)
 }
 
-type hostJob struct {
-	g  *G
-	fn func(*G)
-}
-
-// hostFree is the global pool of parked hosts. It is a plain mutex-held
+// hostFree is the global pool of idle hosts. It is a plain mutex-held
 // list rather than a sync.Pool: dropping a host object would strand its
-// parked goroutine forever, so hosts must only leave the pool by being
-// handed a job or by an explicit exit when the pool is full.
+// parked coroutine forever, so hosts must only leave the pool by being
+// handed a job or by an explicit stop when the pool is full.
 var hostFree struct {
 	sync.Mutex
 	list []*host
 }
 
-// hostFreeCap bounds the parked-host pool; a release beyond it lets the
-// host exit so idle processes do not pin stacks without bound.
+// hostFreeCap bounds the idle-host pool; a release beyond it stops the
+// host so idle processes do not pin stacks without bound.
 const hostFreeCap = 4096
 
 func getHost() *host {
@@ -49,57 +72,67 @@ func getHost() *host {
 		return h
 	}
 	hostFree.Unlock()
-	h := &host{resume: make(chan struct{}), jobs: make(chan hostJob, 1)}
-	go h.loop()
+	h := &host{}
+	h.next, h.stop = iter.Pull(h.serve)
 	return h
 }
 
-func (h *host) loop() {
-	for job := range h.jobs {
-		job.run()
-		hostFree.Lock()
-		if len(hostFree.list) < hostFreeCap {
-			hostFree.list = append(hostFree.list, h)
-			hostFree.Unlock()
-			continue
-		}
+func putHost(h *host) {
+	hostFree.Lock()
+	if len(hostFree.list) < hostFreeCap {
+		hostFree.list = append(hostFree.list, h)
 		hostFree.Unlock()
 		return
+	}
+	hostFree.Unlock()
+	h.stop()
+}
+
+// serve is the coroutine body: one job per resumption from the pool, each
+// ended by yielding true.
+func (h *host) serve(yield func(bool) bool) {
+	h.yield = yield
+	for {
+		h.run()
+		h.g, h.fn = nil, nil
+		if !yield(true) {
+			return
+		}
+	}
+}
+
+// switchTo runs g on its host until g leaves the processor, and returns
+// the host to the pool if g's job ended.
+func (s *Scheduler) switchTo(g *G) {
+	if ended, _ := g.host.next(); ended {
+		putHost(g.host)
+		g.host = nil
 	}
 }
 
 // run hosts one simulated goroutine from its first dispatch to its end.
-// The body is exactly the per-goroutine wrapper spawn used to launch; it
-// must not touch the job's G after the final handoff send, because the
-// scheduler may recycle the G (and this host may be reassigned) the
-// moment the send completes.
-func (j hostJob) run() {
-	g := j.g
-	s := g.s
-	<-g.resume
+func (h *host) run() {
+	g, s := h.g, h.g.s
 	if s.stopping {
-		s.handoff <- struct{}{}
-		return
+		return // stopped before its first dispatch
 	}
 	g.state = StateRunning
 	s.Emit(trace.Event{G: g.id, Type: trace.EvGoStart})
 	defer func() {
-		if r := recover(); r != nil {
-			if _, isStop := r.(stopSignal); isStop {
-				s.handoff <- struct{}{}
-				return
-			}
+		r := recover()
+		switch r.(type) {
+		case nil:
+			g.state = StateDone
+			s.Emit(trace.Event{G: g.id, Type: trace.EvGoEnd})
+		case stopSignal:
+			// Unwound by stopWorld: the world is already classified.
+		default:
 			g.state = StatePanicked
 			s.panicked = true
 			s.panicVal = r
 			s.panicG = g.id
 			s.Emit(trace.Event{G: g.id, Type: trace.EvGoPanic, Str: fmt.Sprint(r)})
-			s.handoff <- struct{}{}
-			return
 		}
-		g.state = StateDone
-		s.Emit(trace.Event{G: g.id, Type: trace.EvGoEnd})
-		s.handoff <- struct{}{}
 	}()
-	j.fn(g)
+	h.fn(g)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"goat/internal/fault"
@@ -16,8 +17,9 @@ type stopSignal struct{}
 // Scheduler is the virtual runtime: it owns all simulated goroutines and
 // hands the single logical processor from one to the next. Exactly one
 // simulated goroutine runs at any moment (strict ping-pong with the
-// scheduler loop), so all scheduler and primitive state is mutated without
-// locks and every run is deterministic for a fixed seed.
+// scheduler loop through coroutine switches, see host.go), so all
+// scheduler and primitive state is mutated without locks and every run is
+// deterministic for a fixed seed.
 type Scheduler struct {
 	opts Options
 	prng prng
@@ -27,12 +29,13 @@ type Scheduler struct {
 	// dense, allocated from 1 in creation order). Only the first ng
 	// entries belong to the current run; the rest are recycled structs
 	// kept warm for the next one.
-	gs      []*G
-	ng      int
-	runq    []*G
-	current *G
+	gs   []*G
+	ng   int
+	runq []*G
 
-	handoff chan struct{} // running goroutine -> scheduler: "I left the processor"
+	// dispatches counts this scheduler's dispatches across all its pooled
+	// runs; it paces the real-processor yields in dispatch.
+	dispatches uint
 
 	clock     int64 // logical timestamp source for trace events
 	now       int64 // virtual time (nanoseconds) for timers
@@ -88,13 +91,12 @@ var schedPool sync.Pool
 func newScheduler(opts Options) *Scheduler {
 	s, _ := schedPool.Get().(*Scheduler)
 	if s == nil {
-		s = &Scheduler{handoff: make(chan struct{})}
+		s = &Scheduler{}
 	}
 	s.opts = opts
 	s.prng.seed(opts.Seed)
 	s.ng = 0
 	s.runq = s.runq[:0]
-	s.current = nil
 	s.clock, s.now = 0, 0
 	s.steps, s.ops, s.sliceOps = 0, 0, 0
 	s.yieldLeft = opts.Delays
@@ -172,7 +174,6 @@ func newScheduler(opts Options) *Scheduler {
 // slices, schedule log) is detached first so reuse cannot alias it.
 func (s *Scheduler) release() {
 	for _, g := range s.gs[:s.ng] {
-		g.resume = nil
 		g.wakeNote = nil
 	}
 	s.ect = nil
@@ -335,13 +336,13 @@ func (s *Scheduler) newG(name string, parent trace.GoID, system bool, file strin
 	return g
 }
 
-// spawn hands a simulated goroutine to a pooled host goroutine and puts
-// it on the run queue. The host waits for the first dispatch before
-// emitting GoStart and calling fn (see host.go).
+// spawn hands a simulated goroutine to a pooled host and puts it on the
+// run queue. The host emits GoStart and calls fn at the first dispatch
+// (see host.go).
 func (s *Scheduler) spawn(g *G, fn func(*G)) {
 	h := getHost()
-	g.resume = h.resume
-	h.jobs <- hostJob{g: g, fn: fn}
+	h.g, h.fn = g, fn
+	g.host = h
 	s.runq = append(s.runq, g)
 }
 
@@ -374,11 +375,14 @@ func (g *G) GoSystem(name string, fn func(*G)) *G {
 }
 
 // leaveProcessor parks the calling goroutine until the scheduler dispatches
-// it again, panicking with stopSignal if the world stopped meanwhile.
+// it again, panicking with stopSignal if the world stopped meanwhile. A
+// goroutine already unwinding under stopWorld (a deferred Block or send)
+// panics without parking: nothing would resume it, and its host would
+// never return to the pool.
 func (g *G) leaveProcessor() {
-	g.s.current = nil
-	g.s.handoff <- struct{}{}
-	<-g.resume
+	if !g.s.stopping {
+		g.host.yield(false)
+	}
 	if g.s.stopping {
 		panic(stopSignal{})
 	}
@@ -428,7 +432,7 @@ func (g *G) yield(ev trace.Type, file string, line int) {
 	g.s.Emit(trace.Event{G: g.id, Type: ev, File: file, Line: line})
 	if g.s.fastRedispatch() {
 		// Nothing else is runnable: the scheduler loop would redispatch
-		// this goroutine immediately, so skip the two rendezvous and
+		// this goroutine immediately, so skip the two switches and
 		// continue in place. fastRedispatch performed the loop's
 		// bookkeeping, so schedules, scripts and budgets are identical.
 		g.state = StateRunning
@@ -586,14 +590,20 @@ func (s *Scheduler) pick() *G {
 	return g
 }
 
-// dispatch runs one goroutine until it leaves the processor.
+// dispatch runs one goroutine until it leaves the processor. Coroutine
+// switches never enter the Go scheduler, so every 64th dispatch of a
+// scheduler also yields the real processor: without it a campaign at
+// GOMAXPROCS 1 starves the GC mark worker and the scavenger, and its
+// heap grows. The count spans pooled runs because campaign runs are
+// often shorter than 64 steps.
 func (s *Scheduler) dispatch(g *G) {
 	s.steps++
 	s.sliceOps = 0
-	s.current = g
-	g.resume <- struct{}{}
-	<-s.handoff
-	s.current = nil
+	s.dispatches++
+	if s.dispatches%64 == 0 {
+		runtime.Gosched()
+	}
+	s.switchTo(g)
 }
 
 // Run executes main under a fresh scheduler and returns the classified
@@ -692,17 +702,17 @@ func (s *Scheduler) classify(mainG *G) Outcome {
 	return OutcomeOK
 }
 
-// stopWorld unwinds every goroutine still parked so no simulated
-// goroutines stay live across simulations (their hosts re-park into the
-// pool).
+// stopWorld ends every goroutine whose job is not over, so no simulated
+// goroutine stays live across simulations and every host returns to the
+// pool. A goroutine that never ran returns at once; a parked one unwinds
+// with stopSignal (see leaveProcessor). s.ng is reread on every step
+// because an unwinding defer may still spawn.
 func (s *Scheduler) stopWorld() {
 	s.stopping = true
-	for _, g := range s.gs[:s.ng] {
-		if g.state == StateDone || g.state == StatePanicked {
-			continue
+	for i := 0; i < s.ng; i++ {
+		if g := s.gs[i]; g.host != nil {
+			s.switchTo(g)
 		}
-		g.resume <- struct{}{}
-		<-s.handoff
 	}
 }
 

@@ -1,9 +1,9 @@
 package sim
 
 import (
+	"maps"
 	"runtime"
 	"testing"
-	"time"
 
 	"goat/internal/trace"
 )
@@ -255,23 +255,140 @@ func TestSystemGoroutinesExcludedFromLeaks(t *testing.T) {
 	}
 }
 
+// stopOnCreate is an early-stop sink that asks for a stop once it has
+// seen a goroutine created.
+type stopOnCreate struct{ stop bool }
+
+func (s *stopOnCreate) Event(e trace.Event) { s.stop = s.stop || e.Type == trace.EvGoCreate }
+func (s *stopOnCreate) Close()              {}
+func (s *stopOnCreate) StopRequested() bool { return s.stop }
+
+// TestNoRealGoroutineLeakAcrossRuns drives every way a host can leave
+// its job, 200 runs each, and requires every run to give back each host
+// it took: the idle pool ends as exactly the set of hosts it started
+// with, and no real goroutine is left behind.
 func TestNoRealGoroutineLeakAcrossRuns(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		Run(Options{Seed: int64(i), PreemptProb: -1}, func(g *G) {
-			g.Go("stuck", func(c *G) { c.Block(trace.BlockRecv, 0, "t.go", 1) })
-			g.Go("fine", func(c *G) {})
+	stuck := func(c *G) { c.Block(trace.BlockRecv, 0, "t.go", 1) }
+	cases := []struct {
+		name string
+		opts func() Options
+		want Outcome
+		main func(*G)
+	}{
+		{"normal end", quiet, OutcomeOK, func(g *G) {
+			g.Go("fine", func(*G) {})
 			g.Yield()
+		}},
+		{"user panic", quiet, OutcomeCrash, func(g *G) {
+			g.Go("boom", func(*G) { panic("boom") })
+			stuck(g)
+		}},
+		{"blocked at stopWorld", quiet, OutcomeLeak, func(g *G) {
+			g.Go("stuck", stuck)
+			g.Yield()
+		}},
+		{"blocking defer at stopWorld", quiet, OutcomeLeak, func(g *G) {
+			g.Go("stuck", func(c *G) {
+				defer c.Block(trace.BlockSend, 0, "t.go", 2)
+				stuck(c)
+			})
+			g.Yield()
+		}},
+		{"spawned while unwinding", quiet, OutcomeLeak, func(g *G) {
+			g.Go("stuck", func(c *G) {
+				defer c.Go("late", stuck)
+				stuck(c)
+			})
+			g.Yield()
+		}},
+		{"never dispatched after early stop", func() Options {
+			o := quiet()
+			o.Sinks = []trace.Sink{&stopOnCreate{}}
+			return o
+		}, OutcomeStopped, func(g *G) {
+			g.Go("late", stuck)
+			g.Yield()
+		}},
+		{"never dispatched after crash", quiet, OutcomeCrash, func(g *G) {
+			g.Go("late", stuck)
+			panic("boom")
+		}},
+		{"never dispatched after step budget", func() Options {
+			o := quiet()
+			o.MaxSteps = 1
+			return o
+		}, OutcomeTimeout, func(g *G) {
+			g.Go("late", stuck)
+			g.Yield()
+		}},
+	}
+	// Park more idle hosts than any case holds at once, so no run has to
+	// create one.
+	Run(quiet(), func(g *G) {
+		for i := 0; i < 8; i++ {
+			g.Go("warm", func(*G) {})
+		}
+	})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			idle := idleHosts()
+			before := runtime.NumGoroutine()
+			for i := 0; i < 200; i++ {
+				o := tc.opts()
+				o.Seed = int64(i)
+				if r := Run(o, tc.main); r.Outcome != tc.want {
+					t.Fatalf("run %d: outcome = %v, want %v", i, r.Outcome, tc.want)
+				}
+			}
+			if after := idleHosts(); !maps.Equal(after, idle) {
+				t.Errorf("idle hosts: %d before, %d after, or not the same set", len(idle), len(after))
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("real goroutines leaked: before=%d after=%d", before, n)
+			}
 		})
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+5 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+}
+
+// TestSurplusHostsAreStopped ends more goroutines at once than the idle
+// pool may hold: the pool fills to its cap and every surplus host's
+// coroutine is stopped rather than left parked.
+func TestSurplusHostsAreStopped(t *testing.T) {
+	idle := len(idleHosts())
+	before := runtime.NumGoroutine()
+	r := Run(quiet(), func(g *G) {
+		for i := 0; i < hostFreeCap+100; i++ {
+			g.Go("stuck", func(c *G) { c.Block(trace.BlockRecv, 0, "t.go", 1) })
+		}
+	})
+	if r.Outcome != OutcomeLeak {
+		t.Fatalf("outcome = %v, want %v", r.Outcome, OutcomeLeak)
 	}
-	if n := runtime.NumGoroutine(); n > before+5 {
-		t.Fatalf("real goroutines leaked: before=%d after=%d", before, n)
+	if n := len(idleHosts()); n != hostFreeCap {
+		t.Errorf("idle hosts = %d, want the cap %d", n, hostFreeCap)
 	}
+	if n := runtime.NumGoroutine(); n-before != hostFreeCap-idle {
+		t.Errorf("real goroutines: before=%d after=%d, want %d more", before, n, hostFreeCap-idle)
+	}
+	// Shrink the pool back to its size before the test.
+	hostFree.Lock()
+	extra := append([]*host(nil), hostFree.list[idle:]...)
+	hostFree.list = hostFree.list[:idle]
+	hostFree.Unlock()
+	for _, h := range extra {
+		h.stop()
+	}
+}
+
+// idleHosts is the set of hosts parked in the pool.
+func idleHosts() map[*host]bool {
+	hostFree.Lock()
+	defer hostFree.Unlock()
+	set := make(map[*host]bool, len(hostFree.list))
+	for _, h := range hostFree.list {
+		set[h] = true
+	}
+	return set
 }
 
 func TestTraceIsValidAndAttributed(t *testing.T) {
