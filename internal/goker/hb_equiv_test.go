@@ -2,6 +2,7 @@ package goker
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"testing"
 
@@ -299,4 +300,216 @@ func legacyCheck(tr *trace.Trace) []race.Race {
 	}
 	sort.Slice(races, func(i, j int) bool { return races[i].Second.Ts < races[j].Second.Ts })
 	return races
+}
+
+// ---------------------------------------------------------------------
+// Sparse goroutine IDs. Native captures number goroutines sparsely and
+// large (the runtime's goid counter), while clocks are indexed by a
+// dense per-engine slot. A clock indexed by GoID instead of slot still
+// compiles, so this battery relabels every kernel trace onto sparse,
+// large IDs and checks the engine against an independent GoID-keyed
+// replay: every pairwise Leq/Concurrent answer must agree, and the
+// footprints must keep the values a GoID-keyed engine folds.
+
+// sparseGoID maps a kernel's dense goroutine IDs onto IDs of the shape
+// native captures produce.
+func sparseGoID(g trace.GoID) trace.GoID {
+	switch g {
+	case 0, 1:
+		return g
+	case 2:
+		return 7_000_001
+	case 3:
+		return 1 << 40
+	}
+	return 1<<40 + g*7_000_001
+}
+
+func sparseTrace(tr *trace.Trace) *trace.Trace {
+	out := trace.New(len(tr.Events))
+	for _, e := range tr.Events {
+		e.G, e.Peer = sparseGoID(e.G), sparseGoID(e.Peer)
+		out.Append(e)
+	}
+	return out
+}
+
+// legacyClocks replays tr with GoID-keyed clocks under the hb edge rules
+// of the given mode and returns each event's post-edge clock (nil for
+// scheduling noise).
+func legacyClocks(tr *trace.Trace, mode hb.Mode) []legacyVC {
+	const (
+		kindLock = iota + 1
+		kindChan
+		kindCond
+		kindWg
+	)
+	clocks := map[trace.GoID]legacyVC{}
+	clockOf := func(g trace.GoID) legacyVC {
+		if c, ok := clocks[g]; ok {
+			return c
+		}
+		c := legacyVC{}
+		clocks[g] = c
+		return c
+	}
+	kinds := map[trace.ResID]int{}
+	mark := func(res trace.ResID, k int) {
+		if res != 0 && kinds[res] == 0 {
+			kinds[res] = k
+		}
+	}
+	lockVC := map[trace.ResID]legacyVC{}
+	closeVC := map[trace.ResID]legacyVC{}
+	sendVC := map[trace.ResID][]legacyVC{}
+	wgVC := map[trace.ResID]legacyVC{}
+	recv := func(vc legacyVC, res trace.ResID) {
+		if q := sendVC[res]; len(q) > 0 {
+			vc.join(q[0])
+			sendVC[res] = q[1:]
+		}
+	}
+	accumulate := func(m map[trace.ResID]legacyVC, res trace.ResID, vc legacyVC) {
+		if m[res] == nil {
+			m[res] = legacyVC{}
+		}
+		m[res].join(vc)
+	}
+
+	out := make([]legacyVC, len(tr.Events))
+	for i, e := range tr.Events {
+		if e.Type == trace.EvGoSched || e.Type == trace.EvGoPreempt {
+			continue
+		}
+		vc := clockOf(e.G)
+		vc[e.G]++
+		switch e.Type {
+		case trace.EvGoCreate:
+			child := vc.clone()
+			child[e.Peer]++
+			clocks[e.Peer] = child
+		case trace.EvGoUnblock:
+			if e.Peer != 0 && e.Peer != e.G && !(mode == hb.Must && kinds[e.Res] == kindLock) {
+				clockOf(e.Peer).join(vc)
+			}
+		case trace.EvGoBlock:
+			switch e.BlockReason() {
+			case trace.BlockSend:
+				mark(e.Res, kindChan)
+				if e.Res != 0 {
+					sendVC[e.Res] = append(sendVC[e.Res], vc.clone())
+				}
+			case trace.BlockRecv:
+				mark(e.Res, kindChan)
+			case trace.BlockMutex, trace.BlockRMutex:
+				mark(e.Res, kindLock)
+			case trace.BlockCond:
+				mark(e.Res, kindCond)
+			case trace.BlockWaitGroup:
+				mark(e.Res, kindWg)
+			}
+		case trace.EvChanMake:
+			mark(e.Res, kindChan)
+		case trace.EvChanSend:
+			mark(e.Res, kindChan)
+			if !e.Blocked && e.Peer == 0 && e.Res != 0 {
+				sendVC[e.Res] = append(sendVC[e.Res], vc.clone())
+			}
+		case trace.EvChanRecv:
+			mark(e.Res, kindChan)
+			if e.Res != 0 && !e.Blocked && e.Aux == 1 {
+				recv(vc, e.Res)
+			}
+			if e.Res != 0 && e.Aux == 0 && closeVC[e.Res] != nil {
+				vc.join(closeVC[e.Res])
+			}
+		case trace.EvSelectCase:
+			mark(e.Res, kindChan)
+			if e.Blocked || e.Res == 0 {
+				break
+			}
+			if e.Str == "send" && e.Peer == 0 {
+				sendVC[e.Res] = append(sendVC[e.Res], vc.clone())
+			}
+			if e.Str == "recv" {
+				recv(vc, e.Res)
+			}
+		case trace.EvChanClose:
+			mark(e.Res, kindChan)
+			if e.Res != 0 {
+				closeVC[e.Res] = vc.clone()
+			}
+		case trace.EvMutexUnlock, trace.EvRWUnlock, trace.EvRUnlock:
+			mark(e.Res, kindLock)
+			if mode == hb.Full && e.Res != 0 {
+				accumulate(lockVC, e.Res, vc)
+			}
+		case trace.EvMutexLock, trace.EvRWLock, trace.EvRLock:
+			mark(e.Res, kindLock)
+			if mode == hb.Full && e.Res != 0 && lockVC[e.Res] != nil {
+				vc.join(lockVC[e.Res])
+			}
+		case trace.EvWgAdd:
+			mark(e.Res, kindWg)
+			if e.Aux < 0 && e.Res != 0 {
+				accumulate(wgVC, e.Res, vc)
+			}
+		case trace.EvWgWait:
+			mark(e.Res, kindWg)
+			if e.Res != 0 && wgVC[e.Res] != nil {
+				vc.join(wgVC[e.Res])
+			}
+		case trace.EvCondWait, trace.EvCondSignal, trace.EvCondBroadcast:
+			mark(e.Res, kindCond)
+		}
+		out[i] = vc.clone()
+	}
+	return out
+}
+
+// sparseFootprintDigest is the FNV-1a digest of every kernel's Full and
+// Must footprints over the sparse relabeling (TestHBSparseGoIDs), as
+// folded by the GoID-keyed map clocks the engine used before clocks
+// became slot-indexed.
+const sparseFootprintDigest = 0x35bc707cf1fb16cd
+
+func TestHBSparseGoIDs(t *testing.T) {
+	digest := fnv.New64a()
+	for _, k := range All() {
+		r := Run(k, sim.Options{Seed: 3, Delays: 2, MaxSteps: 50000})
+		tr := sparseTrace(r.Trace)
+		for _, mode := range []hb.Mode{hb.Full, hb.Must} {
+			en := hb.NewEngine(mode)
+			got := make([]hb.VC, len(tr.Events))
+			i := 0
+			en.Observer = func(_ trace.Event, vc hb.VC) { got[i] = vc.Clone() }
+			for i = range tr.Events {
+				en.Event(tr.Events[i])
+			}
+			want := legacyClocks(tr, mode)
+			for a := range want {
+				if (want[a] == nil) != (got[a] == nil) {
+					t.Fatalf("%s mode %d: event %d clocked=%v, reference %v", k.ID, mode, a, got[a] != nil, want[a] != nil)
+				}
+				if want[a] == nil {
+					continue
+				}
+				for b := range want {
+					if want[b] == nil {
+						continue
+					}
+					leq := want[a].leq(want[b])
+					conc := !leq && !want[b].leq(want[a])
+					if got[a].Leq(got[b]) != leq || got[a].Concurrent(got[b]) != conc {
+						t.Fatalf("%s mode %d: events %d,%d: Leq/Concurrent %v/%v, GoID-keyed reference %v/%v",
+							k.ID, mode, a, b, got[a].Leq(got[b]), got[a].Concurrent(got[b]), leq, conc)
+					}
+				}
+			}
+			fmt.Fprintf(digest, "%s/%d/%016x;", k.ID, mode, en.Footprint())
+		}
+	}
+	if got := digest.Sum64(); got != sparseFootprintDigest {
+		t.Errorf("sparse-ID footprint digest %#016x, want %#016x", got, uint64(sparseFootprintDigest))
+	}
 }
