@@ -431,6 +431,21 @@ func BenchmarkHBEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkDPORRacingPairs measures one DPOR expansion's dependence
+// analysis: the Must-mode per-event clocks of kubernetes_11298's seed-1
+// base schedule (the run every DPOR search of that kernel starts from)
+// and its racing pairs.
+func BenchmarkDPORRacingPairs(b *testing.B) {
+	k, _ := goker.ByID("kubernetes_11298")
+	r := systematic.Finding{Seed: 1}.Replay(k.Main)
+	var pairs int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pairs = len(hb.BuildDeps(r.Trace, hb.Must).RacingPairs())
+	}
+	b.ReportMetric(float64(pairs), "pairs")
+}
+
 // BenchmarkPredictMine measures mining one passing D=0 trace for
 // predicted hazards (the cmd/goat -predict path).
 func BenchmarkPredictMine(b *testing.B) {

@@ -1,22 +1,16 @@
 package hb
 
-import (
-	"testing"
-
-	"goat/internal/trace"
-)
+import "testing"
 
 // decodeVCs deterministically builds three clocks from fuzz input: each
-// byte contributes one (goroutine, time) entry, cycling through the three
+// byte contributes one (slot, time) entry, cycling through the three
 // clocks. Small universes force comparable, equal and concurrent pairs.
 func decodeVCs(data []byte) [3]VC {
-	out := [3]VC{{}, {}, {}}
+	var kv [3][]int64
 	for i, b := range data {
-		g := trace.GoID(1 + (b>>4)&0x3)
-		t := int64(b & 0xf)
-		out[i%3][g] = t
+		kv[i%3] = append(kv[i%3], int64(1+(b>>4)&0x3), int64(b&0xf))
 	}
-	return out
+	return [3]VC{slots(kv[0]...), slots(kv[1]...), slots(kv[2]...)}
 }
 
 // FuzzVCLaws throws arbitrary clock triples at the lattice laws the
@@ -32,8 +26,8 @@ func FuzzVCLaws(f *testing.F) {
 
 		// Clone independence.
 		cl := a.Clone()
-		cl.Join(VC{99: 1})
-		if _, ok := a[99]; ok {
+		cl.Join(slots(99, 1))
+		if a.at(99) != 0 {
 			t.Fatal("Clone aliases the receiver")
 		}
 

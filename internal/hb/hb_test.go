@@ -7,15 +7,26 @@ import (
 	"goat/internal/trace"
 )
 
-// randVC draws a random clock over a small goroutine universe so that
-// comparable and incomparable pairs both occur often.
-func randVC(rng *rand.Rand) VC {
-	v := VC{}
-	n := rng.Intn(5)
-	for i := 0; i < n; i++ {
-		v[trace.GoID(1+rng.Intn(4))] = int64(rng.Intn(6))
+// slots builds a clock from (slot, time) pairs; slots not named read 0.
+// Clocks are slot-indexed, so tests spell out slots, never GoIDs.
+func slots(kv ...int64) VC {
+	var v VC
+	for i := 0; i+1 < len(kv); i += 2 {
+		v = grown(v, int(kv[i])+1)
+		v[kv[i]] = kv[i+1]
 	}
 	return v
+}
+
+// randVC draws a random clock over a small slot universe so that
+// comparable and incomparable pairs both occur often.
+func randVC(rng *rand.Rand) VC {
+	var kv []int64
+	n := rng.Intn(5)
+	for i := 0; i < n; i++ {
+		kv = append(kv, int64(1+rng.Intn(4)), int64(rng.Intn(6)))
+	}
+	return slots(kv...)
 }
 
 func vcEqual(a, b VC) bool { return a.Leq(b) && b.Leq(a) }
@@ -83,19 +94,31 @@ func TestVCLaws(t *testing.T) {
 }
 
 func TestCloneNeverAliases(t *testing.T) {
-	a := VC{1: 3, 2: 5}
+	a := slots(1, 3, 2, 5)
 	b := a.Clone()
 	b[1] = 99
-	b[7] = 1
+	b.Join(slots(7, 1))
 	if a[1] != 3 {
 		t.Fatalf("clone aliased the original: %v", a)
 	}
-	if _, ok := a[7]; ok {
+	if a.at(7) != 0 {
 		t.Fatalf("clone write leaked into original: %v", a)
 	}
-	a.Join(VC{9: 9})
-	if _, ok := b[9]; ok {
+	a.Join(slots(9, 9))
+	if b.at(9) != 0 {
 		t.Fatalf("original join leaked into clone: %v", b)
+	}
+}
+
+// TestVCPastEndReadsZero pins the dense representation's contract:
+// clocks of different lengths compare as if padded with zeros.
+func TestVCPastEndReadsZero(t *testing.T) {
+	short, long := slots(0, 2), slots(0, 2, 3, 0)
+	if !short.Leq(long) || !long.Leq(short) || short.Concurrent(long) {
+		t.Fatalf("trailing zeros changed the order: %v vs %v", short, long)
+	}
+	if !short.Leq(slots(0, 2, 3, 1)) || slots(0, 2, 3, 1).Leq(short) {
+		t.Fatal("a longer clock with a non-zero tail must be strictly above")
 	}
 }
 
@@ -108,7 +131,7 @@ func TestEngineProgramOrder(t *testing.T) {
 	en := NewEngine(Full)
 	en.Event(ev(1, trace.EvChanMake, 1))
 	en.Event(ev(1, trace.EvUserLog, 0))
-	if got := en.ClockOf(1)[1]; got != 2 {
+	if got := en.ClockOf(1)[en.slot(1)]; got != 2 {
 		t.Fatalf("program order: clock[1] = %d, want 2", got)
 	}
 	if en.Events() != 2 {
@@ -125,8 +148,20 @@ func TestEngineGoCreateEdge(t *testing.T) {
 	if !parent.Leq(child) {
 		t.Fatalf("parent clock %v not ≤ child clock %v", parent, child)
 	}
-	if child[2] == 0 {
+	if child.at(en.slot(2)) == 0 {
 		t.Fatalf("child did not get its own component: %v", child)
+	}
+}
+
+// TestEngineSelfCreate pins a malformed trace's create aimed at its own
+// creator: the child clock is a copy of the creator's, so the creator's
+// own entry advances twice per event (tick, then the child increment).
+func TestEngineSelfCreate(t *testing.T) {
+	en := NewEngine(Full)
+	en.Event(trace.Event{G: 1, Type: trace.EvGoCreate, Peer: 1})
+	en.Event(trace.Event{G: 1, Type: trace.EvGoCreate, Peer: 1})
+	if got := en.ClockOf(1)[en.slot(1)]; got != 4 {
+		t.Fatalf("self-create: own entry %d, want 4", got)
 	}
 }
 

@@ -7,17 +7,22 @@
 // schedule, asks the happens-before analysis *where reordering could
 // matter*, and seeds backtrack points only there.
 //
-// After each run the trace is replayed through hb.BuildDeps in Must mode
-// (lock-induced edges dropped — another schedule could acquire the locks
-// in the other order, so they must not mask reorderability). A *racing
-// pair* is a dependent, Must-concurrent, co-enabled pair of events of
-// different goroutines: the certificate that executing them in the other
-// order is both reachable (some scheduler choice runs the other side
-// first) and meaningful (the two operations do not commute). For the
-// earlier event of each racing pair, the explorer seeds a backtrack
-// point: a forced yield at the op where that event's goroutine dispatched
-// it, which defers the goroutine's entire suffix and lets the racing peer
-// run first. Two refinements keep the point set minimal:
+// A run is expanded when it is not a sleep hit (below) and its placement
+// holds fewer than Config.MaxYields interventions: its trace is replayed
+// through hb.BuildDeps in Must mode (lock-induced edges dropped — another
+// schedule could acquire the locks in the other order, so they must not
+// mask reorderability). A *racing pair* is a dependent, Must-concurrent,
+// co-enabled pair of events of different goroutines: the certificate
+// that executing them in the other order is both reachable (some
+// scheduler choice runs the other side first) and meaningful (the two
+// operations do not commute). Deps.RacingPairs compares only pairs that
+// can be dependent (the events of one resource, and a create or unblock
+// against its target goroutine's events), so an expansion costs about
+// the trace length, not its square. For the earlier event of each racing
+// pair, the explorer seeds a backtrack point: a forced yield at the op
+// where that event's goroutine dispatched it, which defers the
+// goroutine's entire suffix and lets the racing peer run first. Two
+// refinements keep the point set minimal:
 //
 //   - window collapsing: yields at consecutive ops of the same goroutine
 //     with no racing event between them defer the same reorderable
@@ -33,7 +38,9 @@
 // footprint was already visited is an equivalent interleaving of an
 // explored schedule, so it is never *expanded* (its racing pairs would
 // seed the same reversals again — by the reorder-persistence property
-// the footprint certifies). Runs == SleepHits + DistinctFootprints is an
+// the footprint certifies). Every run's footprint comes from replaying
+// its trace through one recycled Full-mode hb.Engine, which keeps no
+// snapshot of the clocks. Runs == SleepHits + DistinctFootprints is an
 // invariant the tests assert.
 //
 // Exploration is breadth-first in placement depth, children ordered by
@@ -136,6 +143,7 @@ func (x *Explorer) ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORSta
 	}()
 
 	footprints := map[uint64]bool{}
+	fpEngine := hb.NewEngine(hb.Full)
 	queued := map[string]bool{}
 	root := &dporNode{yields: []int64{}}
 	work := []*dporNode{root}
@@ -177,7 +185,8 @@ func (x *Explorer) ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORSta
 			}
 			return true, nil
 		}
-		fp := hb.FromTrace(fb.Result.Trace, hb.Full).Footprint
+		fpEngine.Load(fb.Result.Trace)
+		fp := fpEngine.Footprint()
 		if footprints[fp] {
 			// Sleep set: an equivalent interleaving was already explored
 			// and expanded; re-expanding would seed the same reversals.

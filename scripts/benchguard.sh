@@ -15,7 +15,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkTable1|BenchmarkTable3|BenchmarkSchedulerSpawnJoin|BenchmarkChannelPingPong|BenchmarkSelectTwoReady|BenchmarkDetectGoat|BenchmarkCampaignCellBuffered|BenchmarkCheckpointJournalAppend|BenchmarkCheckpointJournalReplay|BenchmarkCampaignCellStreaming|BenchmarkServiceCell|BenchmarkServiceCellTimeline|BenchmarkTelemetryOverheadOff|BenchmarkTelemetryOverheadOn|BenchmarkHBEngine|BenchmarkPredictMine|BenchmarkSystematicExploreDPOR|BenchmarkIngestParse|BenchmarkProfileBuild)$'
+BENCHES='^(BenchmarkTable1|BenchmarkTable3|BenchmarkSchedulerSpawnJoin|BenchmarkChannelPingPong|BenchmarkSelectTwoReady|BenchmarkDetectGoat|BenchmarkCampaignCellBuffered|BenchmarkCheckpointJournalAppend|BenchmarkCheckpointJournalReplay|BenchmarkCampaignCellStreaming|BenchmarkServiceCell|BenchmarkServiceCellTimeline|BenchmarkTelemetryOverheadOff|BenchmarkTelemetryOverheadOn|BenchmarkHBEngine|BenchmarkPredictMine|BenchmarkSystematicExploreDPOR|BenchmarkIngestParse|BenchmarkProfileBuild|BenchmarkDPORRacingPairs)$'
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 
