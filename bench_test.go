@@ -376,12 +376,6 @@ func benchSystematic(b *testing.B, mode string) {
 		for _, k := range kernels {
 			cfg := systematic.Config{Seed: 1, MaxYields: 2, MaxRuns: 2000}
 			switch mode {
-			case "pruned":
-				f, st := systematic.ExplorePruned(k.Main, cfg)
-				execs += st.Runs
-				if f != nil {
-					found++
-				}
 			case "dpor":
 				f, st := systematic.ExploreDPOR(k.Main, cfg)
 				execs += st.Runs
@@ -407,15 +401,10 @@ func benchSystematic(b *testing.B, mode string) {
 // the fixed kernel mix.
 func BenchmarkSystematicExplore(b *testing.B) { benchSystematic(b, "explore") }
 
-// BenchmarkSystematicExplorePruned is the same search with happens-before
-// schedule pruning: identical findings, fewer executions (the
-// "executions" metric is the claim).
-func BenchmarkSystematicExplorePruned(b *testing.B) { benchSystematic(b, "pruned") }
-
 // BenchmarkSystematicExploreDPOR is the dependency-driven search over
 // the same mix: backtrack points seeded only at racing Must-HB windows,
 // sleep-set footprint memo suppressing equivalent interleavings — same
-// findings again, and the fewest executions of the three.
+// findings, and far fewer executions.
 func BenchmarkSystematicExploreDPOR(b *testing.B) { benchSystematic(b, "dpor") }
 
 // BenchmarkHBEngine measures the streaming happens-before engine's

@@ -16,15 +16,13 @@ type args struct {
 	timeline  string
 	faultSpec string
 	predict   bool
-	prune     bool
-	dpor      bool
 }
 
 func validate(a args) error {
 	if a.tool == "" {
 		a.tool = "goat"
 	}
-	_, err := validateFlags(a.bug, a.tool, a.minimize, a.traceOut, a.htmlOut, a.timeline, a.faultSpec, a.predict, a.prune, a.dpor)
+	_, err := validateFlags(a.bug, a.tool, a.minimize, a.traceOut, a.htmlOut, a.timeline, a.faultSpec, a.predict)
 	return err
 }
 
@@ -34,14 +32,8 @@ func TestValidateFlagsRejectsExclusiveModes(t *testing.T) {
 		a       args
 		wantErr string // substring of the usage error
 	}{
-		{"predict+dpor", args{bug: "b", predict: true, dpor: true}, "-predict and -dpor are exclusive"},
-		{"predict+dpor+minimize", args{bug: "b", predict: true, dpor: true, minimize: true}, "-predict and -dpor are exclusive"},
-		{"predict+prune", args{bug: "b", predict: true, prune: true}, "-predict and -prune are exclusive"},
 		{"predict+minimize", args{bug: "b", predict: true, minimize: true}, "-predict cannot be combined"},
 		{"predict+faults", args{bug: "b", predict: true, faultSpec: "stall=1"}, "-predict cannot be combined"},
-		{"dpor+prune", args{bug: "b", minimize: true, dpor: true, prune: true}, "-dpor and -prune are exclusive"},
-		{"dpor-without-minimize", args{bug: "b", dpor: true}, "-dpor requires -minimize"},
-		{"prune-without-minimize", args{bug: "b", prune: true}, "-prune requires -minimize"},
 		{"minimize-without-bug", args{minimize: true}, "-minimize requires -bug"},
 		{"predict-without-bug", args{predict: true}, "-predict requires -bug"},
 		{"traceout-without-bug", args{traceOut: "t.ect"}, "-traceout requires -bug"},
@@ -71,8 +63,6 @@ func TestValidateFlagsAcceptsValidModes(t *testing.T) {
 		{"bare-bug", args{bug: "b"}},
 		{"predict", args{bug: "b", predict: true}},
 		{"minimize", args{bug: "b", minimize: true}},
-		{"minimize+prune", args{bug: "b", minimize: true, prune: true}},
-		{"minimize+dpor", args{bug: "b", minimize: true, dpor: true}},
 		{"faults", args{bug: "b", faultSpec: "stall=2,panic=1"}},
 		{"every-tool-goleak", args{bug: "b", tool: "goleak"}},
 		{"every-tool-lockdl", args{bug: "b", tool: "lockdl"}},

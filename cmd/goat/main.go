@@ -56,13 +56,11 @@ func main() {
 		tool      = flag.String("tool", "goat", "detector: goat|builtin|lockdl|goleak")
 		raceOn    = flag.Bool("race", false, "enable the happens-before data race checker")
 		traceOut  = flag.String("traceout", "", "with -bug: write the detecting run's ECT to this file")
-		minimize  = flag.Bool("minimize", false, "with -bug: systematic search + minimal yield placement")
+		minimize  = flag.Bool("minimize", false, "with -bug: DPOR systematic search + minimal yield placement")
 		htmlOut   = flag.String("htmlout", "", "with -bug: write an HTML timeline of the detecting run")
 		timeline  = flag.String("timeline", "", "with -bug: write a Chrome/Perfetto timeline (ECT + campaign phases) of the detecting run")
 		faultSpec = flag.String("faults", "", `with -bug: fault-injection spec, e.g. "stall=2,cancel=1,skew=0.3,slow=2,panic=1"`)
 		predict   = flag.Bool("predict", false, "with -bug: mine one passing execution for predicted blocking hazards")
-		prune     = flag.Bool("prune", false, "with -minimize: happens-before schedule pruning (skip equivalent yield placements)")
-		dpor      = flag.Bool("dpor", false, "with -minimize: dynamic partial-order reduction (backtrack only at racing Must-HB windows)")
 		obsAddr   = flag.String("obs", "", "mount the observability endpoint (/metrics, /profile/*, /healthz) on this address")
 	)
 	flag.Parse()
@@ -79,7 +77,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "goat: observability endpoint on http://%s\n", addr)
 	}
 
-	faults, err := validateFlags(*bug, *tool, *minimize, *traceOut, *htmlOut, *timeline, *faultSpec, *predict, *prune, *dpor)
+	faults, err := validateFlags(*bug, *tool, *minimize, *traceOut, *htmlOut, *timeline, *faultSpec, *predict)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,7 +96,7 @@ func main() {
 			fatal(err)
 		}
 	case *bug != "" && *minimize:
-		if err := minimizeBug(*bug, *seed, *d, *freq, *prune, *dpor); err != nil {
+		if err := minimizeBug(*bug, *seed, *d, *freq); err != nil {
 			fatal(err)
 		}
 	case *bug != "":
@@ -122,7 +120,7 @@ func fatal(err error) {
 
 // validateFlags rejects meaningless flag combinations up front with a
 // one-line error instead of silently ignoring them.
-func validateFlags(bug, tool string, minimize bool, traceOut, htmlOut, timeline, faultSpec string, predict, prune, dpor bool) (fault.Options, error) {
+func validateFlags(bug, tool string, minimize bool, traceOut, htmlOut, timeline, faultSpec string, predict bool) (fault.Options, error) {
 	if bug == "" {
 		switch {
 		case minimize:
@@ -138,21 +136,6 @@ func validateFlags(bug, tool string, minimize bool, traceOut, htmlOut, timeline,
 		case predict:
 			return fault.Options{}, fmt.Errorf("-predict requires -bug")
 		}
-	}
-	if predict && dpor {
-		return fault.Options{}, fmt.Errorf("-predict and -dpor are exclusive (-predict mines one execution; -dpor is a -minimize search strategy)")
-	}
-	if predict && prune {
-		return fault.Options{}, fmt.Errorf("-predict and -prune are exclusive (-predict mines one execution; -prune is a -minimize search strategy)")
-	}
-	if prune && !minimize {
-		return fault.Options{}, fmt.Errorf("-prune requires -minimize")
-	}
-	if dpor && !minimize {
-		return fault.Options{}, fmt.Errorf("-dpor requires -minimize")
-	}
-	if dpor && prune {
-		return fault.Options{}, fmt.Errorf("-dpor and -prune are exclusive (each replaces the search strategy)")
 	}
 	if predict && (minimize || faultSpec != "") {
 		return fault.Options{}, fmt.Errorf("-predict cannot be combined with -minimize or -faults")
@@ -343,39 +326,21 @@ func predictBug(id string, seed int64, d int) error {
 	return nil
 }
 
-// minimizeBug runs the systematic explorer and the schedule minimizer on
-// a kernel, printing the minimal yield placement that reproduces the bug.
-func minimizeBug(id string, seed int64, maxYields, maxRuns int, prune, dpor bool) error {
+// minimizeBug runs the DPOR explorer and the schedule minimizer on a
+// kernel, printing the minimal yield placement that reproduces the bug.
+func minimizeBug(id string, seed int64, maxYields, maxRuns int) error {
 	k, ok := goker.ByID(id)
 	if !ok {
 		return fmt.Errorf("unknown bug %q (try -list)", id)
 	}
-	mode := "systematic exploration"
-	switch {
-	case prune:
-		mode = "HB-pruned systematic exploration"
-	case dpor:
-		mode = "DPOR over the Must-HB graph"
-	}
-	fmt.Printf("bug %s: %s (bound D=%d)...\n", k.ID, mode, maxYieldsOrDefault(maxYields))
+	fmt.Printf("bug %s: DPOR over the Must-HB graph (bound D=%d)...\n", k.ID, maxYieldsOrDefault(maxYields))
 	cfg := systematic.Config{
 		Seed:      seed,
 		MaxYields: maxYields,
 		MaxRuns:   maxRuns,
 	}
-	var f *systematic.Finding
-	switch {
-	case prune:
-		var st systematic.PruneStats
-		f, st = systematic.ExplorePruned(k.Main, cfg)
-		fmt.Printf("pruning: %s\n", st)
-	case dpor:
-		var st systematic.DPORStats
-		f, st = systematic.ExploreDPOR(k.Main, cfg)
-		fmt.Printf("dpor: %s\n", st)
-	default:
-		f = systematic.Explore(k.Main, cfg)
-	}
+	f, st := systematic.ExploreDPOR(k.Main, cfg)
+	fmt.Printf("dpor: %s\n", st)
 	if f == nil {
 		fmt.Println("no bug-triggering yield placement within the budget")
 		return nil
@@ -383,13 +348,7 @@ func minimizeBug(id string, seed int64, maxYields, maxRuns int, prune, dpor bool
 	fmt.Printf("found: %s\n", f)
 	min := systematic.Minimize(k.Main, f)
 	fmt.Printf("minimized: %s\n\n", min)
-	r := sim.Run(sim.Options{
-		Seed:        min.Seed,
-		Pick:        sim.PickFIFO,
-		PreemptProb: -1,
-		YieldAt:     min.Yields,
-	}, k.Main)
-	fmt.Println(report.Detection(r, min.Detection))
+	fmt.Println(report.Detection(min.Replay(k.Main), min.Detection))
 	return nil
 }
 

@@ -8,7 +8,7 @@
 //	goatbench -exp fig4              # detections per tool by symptom
 //	goatbench -exp fig5              # iteration-count distribution
 //	goatbench -exp fig6 -iters 100   # coverage growth case studies
-//	goatbench -exp dpor -freq 400    # DPOR/pruned/explore equivalence table
+//	goatbench -exp dpor -freq 400    # DPOR vs Explore-oracle equivalence table
 //	goatbench -exp all
 //
 // It also guards against performance regressions: pipe `go test -bench`
@@ -258,7 +258,7 @@ func suiteComposition() error {
 }
 
 // minimalYields quantifies the abstract's claim — "detects these bugs
-// with less than three yields" — by systematic exploration + schedule
+// with less than three yields" — by DPOR exploration + schedule
 // minimization over every rare kernel: the table reports the smallest
 // yield placement that deterministically reproduces each bug.
 func minimalYields(seed int64) error {
@@ -271,7 +271,7 @@ func minimalYields(seed int64) error {
 		total++
 		var best *systematic.Finding
 		for s := seed; s < seed+5 && best == nil; s++ {
-			if f := systematic.Explore(k.Main, systematic.Config{Seed: s, MaxRuns: 3000}); f != nil {
+			if f, _ := systematic.ExploreDPOR(k.Main, systematic.Config{Seed: s, MaxRuns: 3000}); f != nil {
 				best = systematic.Minimize(k.Main, f)
 			}
 		}
@@ -290,7 +290,7 @@ func minimalYields(seed int64) error {
 	return nil
 }
 
-// dporEquivalence runs the three systematic searches side by side and
+// dporEquivalence runs the Explore oracle and DPOR side by side and
 // fails on any disagreement — the CLI form of the equivalence battery in
 // internal/systematic, used by CI as a smoke gate over a kernel matrix
 // (-bugs) and by hand over the full suite.

@@ -131,9 +131,7 @@ func main() {
 		})
 	case *profile != "":
 		withCapture(*profile, func(t *trace.Trace, run *ingest.Run) error {
-			fmt.Print(trace.BuildProfile(t))
 			set := buildProfileSet(t, run)
-			fmt.Println()
 			fmt.Print(set.Block.Top(8))
 			fmt.Print(set.Mutex.Top(8))
 			fmt.Print(set.Goroutine.Top(8))

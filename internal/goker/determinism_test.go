@@ -91,9 +91,22 @@ func serviceSweep() []*kernelgen.ServiceProg {
 	}
 }
 
+// perEvent adds the trace.Unbatched marker to a stream, so the scheduler
+// delivers every event to it as it is emitted instead of in blocks.
+// Event, Close and Finish come from the embedded stream; StopRequested
+// is forwarded because the scheduler polls every trace.Stopper sink.
+type perEvent struct{ detect.Stream }
+
+func (perEvent) Unbatched() {}
+
+func (p perEvent) StopRequested() bool {
+	st, ok := p.Stream.(trace.Stopper)
+	return ok && st.StopRequested()
+}
+
 // serviceOpts builds the sweep options: full ECT, a detector panel on
-// the sink path, and the requested batch mode.
-func serviceOpts(p *kernelgen.ServiceProg, seed int64, batch int) (sim.Options, []detect.Stream) {
+// the sink path, delivered per event or in blocks.
+func serviceOpts(p *kernelgen.ServiceProg, seed int64, unbatched bool) (sim.Options, []detect.Stream) {
 	streams := []detect.Stream{
 		detect.Goat{}.NewStream(),
 		detect.Leak{Window: 512}.NewStream(),
@@ -101,8 +114,11 @@ func serviceOpts(p *kernelgen.ServiceProg, seed int64, batch int) (sim.Options, 
 	sinks := make([]trace.Sink, len(streams))
 	for i, s := range streams {
 		sinks[i] = s
+		if unbatched {
+			sinks[i] = perEvent{s}
+		}
 	}
-	return sim.Options{Seed: seed, MaxSteps: p.MinSteps(), SinkBatch: batch, Sinks: sinks}, streams
+	return sim.Options{Seed: seed, MaxSteps: p.MinSteps(), Sinks: sinks}, streams
 }
 
 // TestServiceKernelDeterminism extends the determinism sweep to the
@@ -118,8 +134,8 @@ func TestServiceKernelDeterminism(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(3); seed <= 11; seed += 4 {
-				offOpts, offStreams := serviceOpts(p, seed, -1)
-				onOpts, onStreams := serviceOpts(p, seed, 256)
+				offOpts, offStreams := serviceOpts(p, seed, true)
+				onOpts, onStreams := serviceOpts(p, seed, false)
 				rOff := sim.Run(offOpts, p.Main())
 				rOn := sim.Run(onOpts, p.Main())
 				if rOff.Outcome != rOn.Outcome {
@@ -150,9 +166,9 @@ func TestServiceKernelDeterminism(t *testing.T) {
 
 				// Record under batched emission, replay, require structural
 				// agreement — the debugging workflow must survive batching.
-				recOpts := sim.Options{Seed: seed, MaxSteps: p.MinSteps(), SinkBatch: 256, Record: true}
+				recOpts := sim.Options{Seed: seed, MaxSteps: p.MinSteps(), Record: true}
 				rec := sim.Run(recOpts, p.Main())
-				repOpts := sim.Options{Seed: seed, MaxSteps: p.MinSteps(), SinkBatch: 256, Replay: rec.Schedule}
+				repOpts := sim.Options{Seed: seed, MaxSteps: p.MinSteps(), Replay: rec.Schedule}
 				rep := sim.Run(repOpts, p.Main())
 				if rep.ReplayDiverged {
 					t.Fatalf("seed %d: replay diverged (outcome %v, recorded %v)", seed, rep.Outcome, rec.Outcome)

@@ -25,8 +25,8 @@ func TestRunDPORCompareAgreesOnMatrix(t *testing.T) {
 		t.Fatalf("searches disagree: %+v", mm)
 	}
 	if cmp.DPORRuns <= 0 || cmp.ExploreRuns < cmp.DPORRuns {
-		t.Fatalf("implausible run totals: explore=%d pruned=%d dpor=%d",
-			cmp.ExploreRuns, cmp.PrunedRuns, cmp.DPORRuns)
+		t.Fatalf("implausible run totals: explore=%d dpor=%d",
+			cmp.ExploreRuns, cmp.DPORRuns)
 	}
 	out := cmp.String()
 	for _, want := range []string{"serving_2137", "agree", "TOTAL (found)"} {

@@ -178,7 +178,7 @@ func checkPairsMatchScan(t *testing.T, name string, d *Deps) {
 func TestRacingPairsMatchScan(t *testing.T) {
 	check := func(k goker.Kernel, seed int64, y []int64) {
 		opts := sim.Options{Seed: seed, Pick: sim.PickFIFO, PreemptProb: -1,
-			YieldAt: append([]int64{}, y...), RecordRunnable: true, RecordEnabled: true, RecordOps: true}
+			YieldAt: append([]int64{}, y...), RecordOps: true}
 		tr := sim.Run(opts, k.Main).Trace
 		for _, mode := range []Mode{Full, Must} {
 			checkPairsMatchScan(t, fmt.Sprintf("%s s%d y%v mode %d", k.ID, seed, y, mode), BuildDeps(tr, mode))

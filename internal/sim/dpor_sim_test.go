@@ -42,30 +42,18 @@ func runOrder(t *testing.T, opts Options) ([]string, *Result) {
 	return order, r
 }
 
-func TestRecordEnabledCapturesActorAndPeers(t *testing.T) {
+func TestRecordOpsCapturesActorAndRunnable(t *testing.T) {
 	opts := systematicOpts(nil, nil)
-	opts.RecordRunnable = true
-	opts.RecordEnabled = true
+	opts.RecordOps = true
 	_, r := runOrder(t, opts)
 
-	if len(r.OpActor) != r.Ops || len(r.OpEnabled) != r.Ops || len(r.OpRunnable) != r.Ops {
-		t.Fatalf("recorded %d actors / %d enabled / %d runnable, want %d each",
-			len(r.OpActor), len(r.OpEnabled), len(r.OpRunnable), r.Ops)
-	}
-	for i := range r.OpEnabled {
-		// The identity-level census must agree with the count-level one.
-		if int32(len(r.OpEnabled[i])) != r.OpRunnable[i] {
-			t.Fatalf("op %d: %d enabled ids vs runnable count %d", i+1, len(r.OpEnabled[i]), r.OpRunnable[i])
-		}
-		for _, id := range r.OpEnabled[i] {
-			if id == r.OpActor[i] {
-				t.Fatalf("op %d: actor g%d listed among its own runnable peers", i+1, id)
-			}
-		}
+	if len(r.OpActor) != r.Ops || len(r.OpRunnable) != r.Ops {
+		t.Fatalf("recorded %d actors / %d runnable, want %d each",
+			len(r.OpActor), len(r.OpRunnable), r.Ops)
 	}
 	// Main (g1) executes the first op with all three children runnable.
-	if r.OpActor[0] != 1 || len(r.OpEnabled[0]) != 3 {
-		t.Fatalf("op 1: actor g%d enabled %v, want g1 with 3 peers", r.OpActor[0], r.OpEnabled[0])
+	if r.OpActor[0] != 1 || r.OpRunnable[0] != 3 {
+		t.Fatalf("op 1: actor g%d with %d runnable peers, want g1 with 3", r.OpActor[0], r.OpRunnable[0])
 	}
 }
 

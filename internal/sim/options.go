@@ -90,20 +90,6 @@ type Options struct {
 	// NoTrace disables ECT capture (for pure detection-throughput runs).
 	NoTrace bool
 
-	// SinkBatch controls batched sink delivery: emitted events are
-	// buffered in fixed-size blocks and handed to the sinks when a block
-	// fills and at every early-stop poll (dispatch boundaries), instead
-	// of one interface call per event. Zero selects the default block
-	// size (256); a positive value overrides it; a negative value
-	// disables batching and restores per-event delivery. Every sink
-	// observes the identical event sequence either way, the buffered ECT
-	// is unaffected, early-stop decisions are made on the same event
-	// prefix at the same dispatch boundaries, and no scheduling decision
-	// depends on delivery granularity — so record/replay scripts and all
-	// analysis outputs are batching-invariant (the determinism sweep
-	// pins this).
-	SinkBatch int
-
 	// Record captures the execution's decision script into
 	// Result.Schedule — a portable artifact that replays the exact
 	// interleaving independent of PRNG internals.
@@ -122,31 +108,17 @@ type Options struct {
 	// the schedule decider, so Record/Replay scripts stay valid.
 	Faults fault.Options
 
-	// RecordRunnable captures, for every CU handler invocation, how many
-	// *other* goroutines were runnable at that op (Result.OpRunnable).
-	// The systematic explorer's HB pruner uses it to prove a candidate
-	// yield placement is a no-op: a yield at an op where nothing else was
-	// runnable redispatches the same goroutine immediately and cannot
-	// change the schedule. Recording never draws scheduling decisions.
-	RecordRunnable bool
-
-	// RecordEnabled captures, for every CU handler invocation, the acting
-	// goroutine (Result.OpActor) and the identities of the *other*
-	// runnable goroutines in run-queue order (Result.OpEnabled). It is
-	// the identity-level refinement of RecordRunnable that the DPOR
-	// explorer's co-enabledness checks need: a backtrack point at op i
-	// only makes sense when the goroutine whose operation should be
-	// reordered ahead was actually enabled there. Recording never draws
-	// scheduling decisions.
-	RecordEnabled bool
-
-	// RecordOps captures, for every emitted trace event, the global op
-	// index of the emitting goroutine's most recent CU handler invocation
-	// (Result.EventOps, parallel to Trace.Events). This attributes each
-	// event to the CU at which its operation was dispatched — the op a
-	// forced yield must target to preempt the goroutine *before* that
-	// operation, which is exactly the DPOR backtrack-point mapping.
-	// Only meaningful when the run buffers a trace.
+	// RecordOps captures the op census the DPOR explorer reasons over.
+	// Per CU handler invocation it records how many *other* goroutines
+	// were runnable (Result.OpRunnable) — a yield at an op where nothing
+	// else was runnable redispatches the same goroutine and cannot change
+	// the schedule — and the acting goroutine (Result.OpActor). Per
+	// emitted trace event it records the global op index of the emitting
+	// goroutine's most recent CU handler invocation (Result.EventOps,
+	// parallel to Trace.Events): the op a forced yield must target to
+	// preempt the goroutine *before* that operation, which is exactly the
+	// DPOR backtrack-point mapping. EventOps is only filled when the run
+	// buffers a trace. Recording never draws scheduling decisions.
 	RecordOps bool
 
 	// YieldAt switches the handler to *systematic* mode: a forced yield
@@ -182,18 +154,7 @@ const (
 	defaultPreemptProb = 0.02
 	defaultMaxSteps    = 200000
 	defaultDrainSteps  = 20000
-	defaultSinkBatch   = 256
 )
-
-func (o Options) sinkBatch() int {
-	if o.SinkBatch == 0 {
-		return defaultSinkBatch
-	}
-	if o.SinkBatch < 0 {
-		return 0
-	}
-	return o.SinkBatch
-}
 
 func (o Options) yieldProb() float64 {
 	if o.YieldProb == 0 {

@@ -68,16 +68,12 @@ type Result struct {
 
 	// OpRunnable records, per CU handler invocation (index i = op i+1),
 	// how many other goroutines were runnable at that point
-	// (Options.RecordRunnable).
+	// (Options.RecordOps).
 	OpRunnable []int32
 
 	// OpActor records, per CU handler invocation, the goroutine that
-	// executed the op (Options.RecordEnabled).
+	// executed the op (Options.RecordOps).
 	OpActor []trace.GoID
-	// OpEnabled records, per CU handler invocation, the identities of
-	// the *other* runnable goroutines at that op, in run-queue order
-	// (Options.RecordEnabled).
-	OpEnabled [][]trace.GoID
 
 	// EventOps records, per emitted trace event (parallel to
 	// Trace.Events), the op index of the emitting goroutine's most

@@ -49,10 +49,9 @@ type Scheduler struct {
 
 	ect      *trace.Trace
 	sinks    []trace.Sink  // all sinks (Close order)
-	live     []trace.Sink  // per-event delivery (batching off, or trace.Unbatched)
+	live     []trace.Sink  // per-event delivery (trace.Unbatched sinks)
 	batched  []trace.Sink  // block delivery via the emission batch
 	batch    []trace.Event // pending sink delivery (NoTrace runs only; else the ECT tail is the block)
-	batchCap int           // block size; 0 disables batching
 	flushed  int           // events of s.ect already delivered to batched sinks
 	stoppers []trace.Stopper
 	stopArr  [4]trace.Stopper // inline backing for stoppers (alloc-free)
@@ -70,10 +69,9 @@ type Scheduler struct {
 	yieldAt map[int64]bool       // systematic mode: op indices that force a yield
 	wakeAt  map[int64]trace.GoID // systematic mode: op indices with a targeted wake
 
-	opRunnable []int32        // per-op other-runnable counts (Options.RecordRunnable)
-	opActor    []trace.GoID   // per-op acting goroutine (Options.RecordEnabled)
-	opEnabled  [][]trace.GoID // per-op other-runnable identities (Options.RecordEnabled)
-	eventOps   []int64        // per-event op attribution (Options.RecordOps)
+	opRunnable []int32      // per-op other-runnable counts (Options.RecordOps)
+	opActor    []trace.GoID // per-op acting goroutine (Options.RecordOps)
+	eventOps   []int64      // per-event op attribution (Options.RecordOps)
 
 	faults  *fault.Plan // nil unless Options.Faults is enabled
 	stalled []stalledG  // goroutines held unrunnable by stall faults
@@ -144,18 +142,14 @@ func newScheduler(opts Options) *Scheduler {
 	s.sinks = opts.Sinks
 	s.batch = s.batch[:0]
 	s.flushed = 0
-	s.batchCap = opts.sinkBatch()
 	s.live = s.live[:0]
 	s.batched = s.batched[:0]
 	for _, snk := range s.sinks {
-		if _, ok := snk.(trace.Unbatched); ok || s.batchCap <= 0 {
+		if _, ok := snk.(trace.Unbatched); ok {
 			s.live = append(s.live, snk)
 		} else {
 			s.batched = append(s.batched, snk)
 		}
-	}
-	if len(s.batched) == 0 {
-		s.batchCap = 0
 	}
 	s.stoppers = s.stopArr[:0]
 	for _, snk := range s.sinks {
@@ -185,7 +179,7 @@ func (s *Scheduler) release() {
 	s.stoppers = nil
 	s.dec = nil
 	s.yieldAt, s.wakeAt = nil, nil
-	s.opRunnable, s.opActor, s.opEnabled, s.eventOps = nil, nil, nil, nil
+	s.opRunnable, s.opActor, s.eventOps = nil, nil, nil
 	s.faults = nil
 	s.stalled = s.stalled[:0]
 	s.cancels = s.cancels[:0]
@@ -213,14 +207,18 @@ func (s *Scheduler) NewResID() trace.ResID {
 // Now returns the current virtual time in nanoseconds.
 func (s *Scheduler) Now() int64 { return s.now }
 
+// sinkBlock is the emission block size: streaming sinks receive events
+// in blocks of this many instead of one interface call per event.
+const sinkBlock = 256
+
 // Emit stamps an event with the next logical timestamp and appends it to
 // the configured consumers: the buffered ECT immediately (unless tracing
-// is disabled), the streaming sinks in fixed-size blocks (unless
-// Options.SinkBatch disables batching). Blocks are flushed when full and
-// at every early-stop poll, so an online detector observes exactly the
-// event prefix it would have seen under per-event delivery at each
-// dispatch boundary — early-stop timing and record/replay are
-// batching-invariant.
+// is disabled), trace.Unbatched sinks per event, every other sink in
+// sinkBlock-sized blocks. Blocks are flushed when full and at every
+// early-stop poll, so an online detector observes exactly the event
+// prefix it would have seen under per-event delivery at each dispatch
+// boundary — early-stop timing and record/replay are batching-invariant
+// (the service-kernel determinism sweep pins this).
 func (s *Scheduler) Emit(e trace.Event) {
 	if s.stopping {
 		// stopWorld unwinding: defers in user code still run (unlocks,
@@ -249,16 +247,16 @@ func (s *Scheduler) Emit(e trace.Event) {
 	for _, snk := range s.live {
 		snk.Event(e)
 	}
-	if s.batchCap > 0 {
+	if len(s.batched) > 0 {
 		if s.ect != nil {
 			// The ECT already holds the event; the pending block is the
 			// unflushed tail of its buffer — no second copy.
-			if len(s.ect.Events)-s.flushed >= s.batchCap {
+			if len(s.ect.Events)-s.flushed >= sinkBlock {
 				s.flushSinks()
 			}
 		} else {
 			s.batch = append(s.batch, e)
-			if len(s.batch) >= s.batchCap {
+			if len(s.batch) >= sinkBlock {
 				s.flushSinks()
 			}
 		}
@@ -497,7 +495,7 @@ func (g *G) wakeYield(target trace.GoID, file string, line int) {
 const sliceOpBudget = 256
 
 // SliceOpBudget exposes the per-slice op budget: schedule analyses that
-// reason about forced preempts (the systematic pruner's no-op-yield rule)
+// reason about forced preempts (the DPOR explorer's backtrack windows)
 // must know when slice exhaustion can perturb a schedule.
 const SliceOpBudget = sliceOpBudget
 
@@ -521,21 +519,11 @@ func (g *G) handler(cat trace.Category, file string, line int) {
 	s.ops++
 	s.sliceOps++
 	g.lastOp = int64(s.ops)
-	if s.opts.RecordRunnable {
+	if s.opts.RecordOps {
 		// The current goroutine holds the processor and is not in runq,
 		// so len(runq) is exactly the count of *other* runnable peers.
 		s.opRunnable = append(s.opRunnable, int32(len(s.runq)))
-	}
-	if s.opts.RecordEnabled {
 		s.opActor = append(s.opActor, g.id)
-		var ids []trace.GoID
-		if len(s.runq) > 0 {
-			ids = make([]trace.GoID, len(s.runq))
-			for i, r := range s.runq {
-				ids[i] = r.id
-			}
-		}
-		s.opEnabled = append(s.opEnabled, ids)
 	}
 	if s.faults != nil {
 		s.applyFaults(g, cat, file, line)
@@ -731,7 +719,6 @@ func (s *Scheduler) result(outcome Outcome, mainG *G) *Result {
 		EarlyStopped: outcome == OutcomeStopped,
 		OpRunnable:   s.opRunnable,
 		OpActor:      s.opActor,
-		OpEnabled:    s.opEnabled,
 		EventOps:     s.eventOps,
 	}
 	for _, g := range s.gs[:s.ng] {

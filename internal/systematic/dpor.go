@@ -1,11 +1,10 @@
 // Dynamic partial-order reduction over the Must-HB graph.
 //
 // Delay-bounded exploration (Explore) treats every op index as a
-// potential yield point; HB pruning (ExplorePruned) removes placements
-// that provably reproduce an already-run schedule. DPOR inverts the
-// question: instead of enumerating placements and filtering, it runs a
-// schedule, asks the happens-before analysis *where reordering could
-// matter*, and seeds backtrack points only there.
+// potential yield point and samples placements blindly. DPOR asks the
+// opposite question: it runs a schedule, asks the happens-before
+// analysis *where reordering could matter*, and seeds backtrack points
+// only there.
 //
 // A run is expanded when it is not a sleep hit (below) and its placement
 // holds fewer than Config.MaxYields interventions: its trace is replayed
@@ -21,8 +20,8 @@
 // the trace length, not its square. For the earlier event of each racing
 // pair, the explorer seeds a backtrack point: a forced yield at the op
 // where that event's goroutine dispatched it, which defers the
-// goroutine's entire suffix and lets the racing peer run first. Two
-// refinements keep the point set minimal:
+// goroutine's entire suffix and lets the racing peer run first. Three
+// filters keep the point set minimal:
 //
 //   - window collapsing: yields at consecutive ops of the same goroutine
 //     with no racing event between them defer the same reorderable
@@ -30,9 +29,11 @@
 //     earliest schedulable op of each window is seeded — which is also
 //     exactly the placement Explore's ascending sweep would find first,
 //     the alignment the equivalence battery pins;
-//   - the runnable census (sim.Options.RecordRunnable): a yield at an op
-//     with no runnable peer reschedules the same goroutine and cannot
-//     realize any reversal.
+//   - the runnable census (Result.OpRunnable, sim.Options.RecordOps): a
+//     yield at an op with no runnable peer reschedules the same
+//     goroutine and cannot realize any reversal;
+//   - the queued set: a child whose placement was already enqueued is
+//     dropped (SkippedDup), so no placement runs twice.
 //
 // The sleep-set analogue is the Full-mode footprint memo: a run whose
 // footprint was already visited is an equivalent interleaving of an
@@ -104,6 +105,9 @@ func (n *dporNode) maxOp() int64 {
 	return m
 }
 
+// placementKey is the dedup key of a plain-yield placement.
+func placementKey(yields []int64) string { return fmt.Sprint(yields) }
+
 func (n *dporNode) key() string {
 	if len(n.wakes) == 0 {
 		return placementKey(n.yields)
@@ -125,14 +129,17 @@ type candidate struct {
 // fraction of the schedules; the equivalence battery in dpor_test.go is
 // the proof. It returns nil when the budget is spent without a detection.
 func ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORStats) {
-	return NewExplorer().ExploreDPOR(prog, cfg)
+	return exploreDPOR(prog, cfg, false)
 }
 
-// ExploreDPOR is the reusable-explorer form of the package-level
-// function; the stats field is reset on entry (per-cell isolation).
-func (x *Explorer) ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORStats) {
-	x.DPOR = DPORStats{}
-	st := &x.DPOR
+// exploreDPOR is ExploreDPOR with an optional switch to targeted
+// backtracking: with wakes set, children are seeded as
+// wake-at-backtrack-point placements (sim.Options.WakeAt) that dispatch
+// the racing peer directly instead of relying on FIFO rotation. The
+// plain-yield space is the one the equivalence battery proves
+// bit-identical to Explore.
+func exploreDPOR(prog func(*sim.G), cfg Config, wakes bool) (*Finding, DPORStats) {
+	st := &DPORStats{}
 	defer func() {
 		if telemetry.Enabled() {
 			telemetry.SysPlacementsRun.Add(int64(st.Runs))
@@ -163,8 +170,6 @@ func (x *Explorer) ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORSta
 				opts.WakeAt[op] = g
 			}
 		}
-		opts.RecordRunnable = true
-		opts.RecordEnabled = true
 		opts.RecordOps = true
 		return opts
 	}
@@ -194,7 +199,7 @@ func (x *Explorer) ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORSta
 		} else {
 			footprints[fp] = true
 			if node.depth < cfg.maxYields() {
-				x.expand(node, fb.Result, cfg, st, &work, queued)
+				expand(node, fb.Result, cfg, wakes, st, &work, queued)
 			}
 		}
 		st.DistinctFootprints = len(footprints)
@@ -225,14 +230,15 @@ func (x *Explorer) ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORSta
 // expand seeds the node's backtrack points: one child placement per
 // racing window of the node's own run, each extending the placement past
 // its last intervention op.
-func (x *Explorer) expand(node *dporNode, r *sim.Result, cfg Config, st *DPORStats, work *[]*dporNode, queued map[string]bool) {
+func expand(node *dporNode, r *sim.Result, cfg Config, wakes bool, st *DPORStats, work *[]*dporNode, queued map[string]bool) {
 	m := node.maxOp()
 	var cands []candidate
 	if r.Ops >= sim.SliceOpBudget {
 		// Past the slice-op budget forced preempts perturb the suffix and
-		// the census/HB reasoning below is no longer a proof (the same
-		// guard canonicalize applies). Degrade to the exhaustive suffix
-		// sweep rather than risk losing a schedule.
+		// the window reasoning below is no longer a proof: a forced yield
+		// resets the slice counter and so moves every later forced
+		// preempt. Degrade to a sweep over every suffix op with a
+		// runnable peer rather than risk losing a schedule.
 		for op := m + 1; op <= int64(r.Ops); op++ {
 			if op-1 < int64(len(r.OpRunnable)) && r.OpRunnable[op-1] == 0 {
 				continue
@@ -250,7 +256,7 @@ func (x *Explorer) expand(node *dporNode, r *sim.Result, cfg Config, st *DPORSta
 		}
 		st.Considered++
 		child := &dporNode{depth: node.depth + 1}
-		if x.Wakes && c.peer != 0 {
+		if wakes && c.peer != 0 {
 			child.yields = append([]int64{}, node.yields...)
 			child.wakes = make(map[int64]trace.GoID, len(node.wakes)+1)
 			for op, g := range node.wakes {

@@ -2,6 +2,7 @@ package systematic
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"goat/internal/detect"
@@ -93,12 +94,10 @@ func TestExploreDPORSeedsOnlyRacingWindows(t *testing.T) {
 	if f == nil {
 		t.Fatalf("serving_2137 bug not found: %s", st)
 	}
-	if !contains(f.Detection.Verdict, "PDL") {
+	if !strings.Contains(f.Detection.Verdict, "PDL") {
 		t.Fatalf("verdict %q, want a PDL class", f.Detection.Verdict)
 	}
 	opts := baseOptions(1)
-	opts.RecordRunnable = true
-	opts.RecordEnabled = true
 	opts.RecordOps = true
 	base := sim.Run(opts, k.Main)
 	cands, _ := dporCandidates(base, 0)
@@ -107,37 +106,6 @@ func TestExploreDPORSeedsOnlyRacingWindows(t *testing.T) {
 	}
 	if len(cands) >= base.Ops {
 		t.Errorf("no reduction: %d backtrack points for a %d-op base run", len(cands), base.Ops)
-	}
-}
-
-// TestExplorerStatsIsolation is the regression test for the stats
-// accumulation bug: an Explorer reused across campaign cells must report
-// per-call stats, not a running total.
-func TestExplorerStatsIsolation(t *testing.T) {
-	big, ok := goker.ByID("etcd_7443")
-	if !ok {
-		t.Fatal("etcd_7443 not registered")
-	}
-	small, ok := goker.ByID("cockroach_1055")
-	if !ok {
-		t.Fatal("cockroach_1055 not registered")
-	}
-	cfg := Config{Seed: 1, MaxRuns: 400}
-
-	x := NewExplorer()
-	x.ExplorePruned(big.Main, cfg)
-	_, st2 := x.ExplorePruned(small.Main, cfg)
-	_, fresh := ExplorePruned(small.Main, cfg)
-	if st2 != fresh {
-		t.Errorf("ExplorePruned stats leaked across cells: reused=%s fresh=%s", st2, fresh)
-	}
-
-	y := NewExplorer()
-	y.ExploreDPOR(big.Main, cfg)
-	_, dst2 := y.ExploreDPOR(small.Main, cfg)
-	_, dfresh := ExploreDPOR(small.Main, cfg)
-	if dst2 != dfresh {
-		t.Errorf("ExploreDPOR stats leaked across cells: reused=%s fresh=%s", dst2, dfresh)
 	}
 }
 
@@ -179,9 +147,7 @@ func TestExploreDPORWakesMode(t *testing.T) {
 	if !ok {
 		t.Fatal("serving_2137 not registered")
 	}
-	x := NewExplorer()
-	x.Wakes = true
-	f, st := x.ExploreDPOR(k.Main, Config{Seed: 1, MaxRuns: 400})
+	f, st := exploreDPOR(k.Main, Config{Seed: 1, MaxRuns: 400}, true)
 	if f == nil {
 		t.Fatalf("wakes-mode search missed the bug: %s", st)
 	}
@@ -192,6 +158,45 @@ func TestExploreDPORWakesMode(t *testing.T) {
 	d := (detect.Goat{}).Detect(f.Replay(k.Main))
 	if !d.Found || d.Verdict != f.Detection.Verdict {
 		t.Fatalf("wake finding %q does not replay: %+v", f.DecisionString(), d)
+	}
+}
+
+// TestMinimalYieldsClaim pins the paper's claim that the benchmark's
+// rare bugs fall to fewer than three yields, measured as goatbench -exp
+// yields does: DPOR at seeds 0-4 with MaxRuns 3000, then Minimize, over
+// every rare kernel. kubernetes_6632 needs exactly three yields;
+// kubernetes_11298's window also depends on select-case choices, so the
+// FIFO base does not reach it within the budget.
+func TestMinimalYieldsClaim(t *testing.T) {
+	total, found, underThree := 0, 0, 0
+	for _, k := range goker.All() {
+		if !k.Rare {
+			continue
+		}
+		total++
+		var min *Finding
+		for seed := int64(0); seed < 5 && min == nil; seed++ {
+			if f, _ := ExploreDPOR(k.Main, Config{Seed: seed, MaxRuns: 3000}); f != nil {
+				min = Minimize(k.Main, f)
+			}
+		}
+		if (min == nil) != (k.ID == "kubernetes_11298") {
+			t.Errorf("%s: found=%v", k.ID, min != nil)
+		}
+		if min == nil {
+			continue
+		}
+		found++
+		if len(min.Yields) < 3 {
+			underThree++
+		}
+		if k.ID == "kubernetes_6632" && len(min.Yields) != 3 {
+			t.Errorf("%s: minimal placement %v, want exactly 3 yields", k.ID, min.Yields)
+		}
+	}
+	if total != 28 || found != 27 || underThree != 26 {
+		t.Errorf("%d/%d rare bugs found, %d/%d under three yields; want 27/28 and 26/27",
+			found, total, underThree, found)
 	}
 }
 
@@ -236,7 +241,7 @@ func TestDPORStatsString(t *testing.T) {
 		SkippedDup: 1, SleepHits: 1, DistinctFootprints: 3, MaxDepth: 2}.String()
 	for _, want := range []string{"12 considered", "5 run", "11 backtracks", "2 noop",
 		"1 dup", "1 sleep", "3 distinct", "depth 2"} {
-		if !contains(s, want) {
+		if !strings.Contains(s, want) {
 			t.Fatalf("stats %q missing %q", s, want)
 		}
 	}

@@ -26,8 +26,6 @@ var goldenPlacements = [][]int64{nil, {2}, {3, 7}, {1, 4, 9}}
 func goldenRun(k goker.Kernel, seed int64, yields []int64) *sim.Result {
 	opts := baseOptions(seed)
 	opts.YieldAt = append([]int64{}, yields...)
-	opts.RecordRunnable = true
-	opts.RecordEnabled = true
 	opts.RecordOps = true
 	return sim.Run(opts, k.Main)
 }

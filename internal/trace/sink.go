@@ -23,12 +23,13 @@ type Stopper interface {
 }
 
 // BatchSink is the optional block-delivery side of a sink. A producer
-// that buffers emission (sim.Options.SinkBatch) hands whole event blocks
-// to sinks implementing it — one interface call per block instead of one
-// per event — and falls back to per-event Event calls otherwise. The
-// block slice is owned by the producer and reused after the call
-// returns; implementations must not retain it. EventBatch(evs) must be
-// observably identical to calling Event for each element in order.
+// that buffers emission (the virtual runtime, for every sink that is not
+// Unbatched) hands whole event blocks to sinks implementing it — one
+// interface call per block instead of one per event — and falls back to
+// per-event Event calls otherwise. The block slice is owned by the
+// producer and reused after the call returns; implementations must not
+// retain it. EventBatch(evs) must be observably identical to calling
+// Event for each element in order.
 type BatchSink interface {
 	Sink
 	EventBatch(evs []Event)
@@ -39,7 +40,7 @@ type BatchSink interface {
 // canonical case: a watchdog snapshots it while a hung run is still in
 // flight, so events parked in an emission buffer would be invisible
 // exactly when they matter most. Producers deliver to Unbatched sinks
-// per event even when batching is on.
+// per event, never in blocks.
 type Unbatched interface {
 	Unbatched()
 }

@@ -61,7 +61,7 @@ const (
 	CapFaultEvents
 
 	// CapOpAttribution: the producer can attribute events to scheduler
-	// decisions (sim.Result's OpActor/OpEnabled/EventOps side tables).
+	// decisions (sim.Result's OpRunnable/OpActor/EventOps side tables).
 	// Systematic exploration and DPOR require a *controllable*
 	// scheduler, so this capability is inherently virtual-runtime-only.
 	CapOpAttribution
