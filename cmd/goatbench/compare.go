@@ -141,7 +141,7 @@ func runCompare(reportPath, baselinePath string, tolerance float64, update bool)
 		tolerance = 0.25
 	}
 
-	regressed := 0
+	regressed, missing := 0, 0
 	compareMetric := func(metric string, want, now map[string]float64) {
 		var names []string
 		for name := range want {
@@ -153,7 +153,10 @@ func runCompare(reportPath, baselinePath string, tolerance float64, update bool)
 			w := want[name]
 			n, ok := now[name]
 			if !ok {
-				fmt.Printf("%-36s %14.0f %14s %9s\n", name, w, "-", "missing")
+				// A guarded benchmark that was deleted or renamed (or
+				// ran without -benchmem) must not drop its guard silently.
+				fmt.Printf("%-36s %14.0f %14s %9s  REGRESSED\n", name, w, "-", "missing")
+				missing++
 				continue
 			}
 			var delta float64
@@ -176,8 +179,9 @@ func runCompare(reportPath, baselinePath string, tolerance float64, update bool)
 	if len(base.AllocsPerOp) > 0 {
 		compareMetric("allocs/op", base.AllocsPerOp, got.allocsPerOp)
 	}
-	if regressed > 0 {
-		fmt.Printf("%d benchmark metric(s) regressed more than %.0f%%\n", regressed, tolerance*100)
+	if regressed > 0 || missing > 0 {
+		fmt.Printf("%d benchmark metric(s) regressed more than %.0f%%, %d missing from the report\n",
+			regressed, tolerance*100, missing)
 		return 1
 	}
 	fmt.Printf("all benchmarks within %.0f%% of baseline\n", tolerance*100)

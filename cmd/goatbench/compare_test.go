@@ -116,6 +116,29 @@ func TestCompareAllocsGuard(t *testing.T) {
 	}
 }
 
+// TestCompareMissingBenchmarkFails: a baseline row with no measurement
+// in the report (a deleted or renamed benchmark, or allocs/op without
+// -benchmem) fails the guard instead of silently dropping it.
+func TestCompareMissingBenchmarkFails(t *testing.T) {
+	dir := t.TempDir()
+	report := writeFile(t, dir, "bench.txt", "BenchmarkA-8 100 100 ns/op\n")
+	base := writeFile(t, dir, "base.json", baselineJSON(t, baseline{
+		Tolerance: 0.25,
+		NsPerOp:   map[string]float64{"BenchmarkA": 100, "BenchmarkGone": 100},
+	}))
+	if code := runCompare(report, base, 0, false); code != 1 {
+		t.Errorf("ns/op row missing from the report: exit %d, want 1", code)
+	}
+	base = writeFile(t, dir, "base-allocs.json", baselineJSON(t, baseline{
+		Tolerance:   0.25,
+		NsPerOp:     map[string]float64{"BenchmarkA": 100},
+		AllocsPerOp: map[string]float64{"BenchmarkA": 32},
+	}))
+	if code := runCompare(report, base, 0, false); code != 1 {
+		t.Errorf("allocs/op row missing from the report: exit %d, want 1", code)
+	}
+}
+
 func TestCompareDefaultToleranceWhenUnset(t *testing.T) {
 	dir := t.TempDir()
 	report := writeFile(t, dir, "bench.txt", "BenchmarkA-8 100 120 ns/op\n")
