@@ -90,7 +90,7 @@ func BenchmarkFigure2(b *testing.B) {
 		tab := harness.RunTableIV(harness.Config{
 			MaxExecs: benchBudget,
 			Tools: []harness.Spec{{
-				Name: "goat-D0", Detector: detect.Goat{}, NeedTrace: true,
+				Name: "goat-D0", Detector: detect.Goat{},
 			}},
 		})
 		fig = harness.RunFigure2(tab, "goat-D0")
@@ -192,18 +192,16 @@ func BenchmarkSelectTwoReady(b *testing.B) {
 	}
 }
 
-// benchCampaignCell runs a Table IV-style campaign cell (one rare kernel
-// under the GoAT detector for a fixed execution budget) through the
-// engine, either buffered (ECT per run + post-hoc detection) or streaming
-// (trace-free, online detector). Reported with -benchmem so the guard
-// pins both ns/op and allocs/op: pooled streaming must not cost more than
-// buffering on either axis.
-func benchCampaignCell(b *testing.B, buffered bool) {
+// BenchmarkCampaignCellStreaming runs a Table IV-style campaign cell (one
+// rare kernel under the GoAT detector for a fixed execution budget)
+// through the engine: executions run trace-free with the online GoAT
+// detector attached as an event sink. Reported with -benchmem so the
+// guard pins both ns/op and allocs/op.
+func BenchmarkCampaignCellStreaming(b *testing.B) {
 	k, ok := goker.ByID("kubernetes_6632")
 	if !ok {
 		b.Fatal("kernel missing")
 	}
-	pool := trace.NewPool()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -212,12 +210,9 @@ func benchCampaignCell(b *testing.B, buffered bool) {
 			Plan: func(i int, _ *engine.Feedback) sim.Options {
 				return sim.Options{Seed: 1 + int64(i)}
 			},
-			Runs:               30,
-			Detector:           detect.Goat{},
-			DetectorNeedsTrace: true,
-			Buffered:           buffered,
-			Pool:               pool,
-			StopOnFound:        true,
+			Runs:        30,
+			Detector:    detect.Goat{},
+			StopOnFound: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -227,14 +222,6 @@ func benchCampaignCell(b *testing.B, buffered bool) {
 		}
 	}
 }
-
-// BenchmarkCampaignCellBuffered is the classic pipeline: every execution
-// buffers its ECT (recycled through a pool) and GoAT analyzes it post-hoc.
-func BenchmarkCampaignCellBuffered(b *testing.B) { benchCampaignCell(b, true) }
-
-// BenchmarkCampaignCellStreaming is the streaming pipeline: executions
-// run trace-free with the online GoAT detector attached as an event sink.
-func BenchmarkCampaignCellStreaming(b *testing.B) { benchCampaignCell(b, false) }
 
 // BenchmarkServiceCell times one service-soak execution cell: a leaky
 // worker-pool service (one stranded goroutine per 128 requests) run
@@ -279,7 +266,6 @@ func benchTelemetryOverhead(b *testing.B, enabled bool) {
 			telemetry.Default.Reset()
 		})
 	}
-	pool := trace.NewPool()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -288,11 +274,9 @@ func benchTelemetryOverhead(b *testing.B, enabled bool) {
 			Plan: func(i int, _ *engine.Feedback) sim.Options {
 				return sim.Options{Seed: 1 + int64(i)}
 			},
-			Runs:               30,
-			Detector:           detect.Goat{},
-			DetectorNeedsTrace: true,
-			Pool:               pool,
-			StopOnFound:        true,
+			Runs:        30,
+			Detector:    detect.Goat{},
+			StopOnFound: true,
 		})
 		if err != nil {
 			b.Fatal(err)

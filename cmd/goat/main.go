@@ -210,6 +210,9 @@ func runBug(ctx context.Context, id, tool string, d, freq, parallel int, seed in
 		NeedTrace:   true, // the detection report prints the goroutine tree
 		StopOnFound: true,
 	}
+	if covFlag {
+		cfg.Coverage = model
+	}
 	if covFlag || raceOn || faults.Enabled() {
 		// Per-run reporting needs the executions observed in order, so
 		// these modes run sequentially regardless of -parallel.
@@ -223,12 +226,9 @@ func runBug(ctx context.Context, id, tool string, d, freq, parallel int, seed in
 					fmt.Printf("run %3d: %s\n", trial+1, rc)
 				}
 			}
-			if covFlag && r.Trace != nil {
-				if tree, err := gtree.Build(r.Trace); err == nil {
-					st := model.AddRun(tree)
-					fmt.Printf("run %3d: outcome=%-5s coverage %5.1f%% (%d/%d)\n",
-						trial+1, r.Outcome, st.Percent, st.Covered, st.Total)
-				}
+			if st := fb.Stats; st != nil {
+				fmt.Printf("run %3d: outcome=%-5s coverage %5.1f%% (%d/%d)\n",
+					trial+1, r.Outcome, st.Percent, st.Covered, st.Total)
 			}
 			return false, nil
 		}

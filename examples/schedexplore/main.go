@@ -31,10 +31,9 @@ func main() {
 		fmt.Printf("%-20s", id)
 		for d := 0; d <= 4; d++ {
 			spec := harness.Spec{
-				Name:      fmt.Sprintf("goat-D%d", d),
-				Detector:  detect.Goat{},
-				Delays:    d,
-				NeedTrace: true,
+				Name:     fmt.Sprintf("goat-D%d", d),
+				Detector: detect.Goat{},
+				Delays:   d,
 			}
 			cell := harness.MinExecs(k, spec, budget, 0)
 			if cell.Found {

@@ -1,16 +1,15 @@
 // Package engine is the unified campaign pipeline: one run-until-decided
-// loop shared by the evaluation harness (Table IV cells), the guided
-// explorer, the differential kernel fuzzer, and the goat CLI, which all
-// previously carried their own copies of it.
+// loop shared by the evaluation harness (Table IV cells), the systematic
+// explorer, the differential kernel fuzzer, and the goat CLI.
 //
 // A campaign executes a program repeatedly under planned scheduling
 // options, classifies every run with a detector, optionally folds each
 // run into a coverage model, and stops on the first detection, a caller
-// decision, or the budget. The engine owns the streaming wiring: when the
-// detector and the coverage model have online forms, runs execute
-// trace-free with the analyses attached as event sinks; the buffered mode
-// (Config.Buffered) keeps the classic ECT-then-post-hoc pipeline for
-// callers that need the full trace per run.
+// decision, or the budget. The engine owns the wiring, and it has one: a
+// streaming detector and the coverage model watch every run as event
+// sinks. A run buffers its ECT only when the caller asks for it
+// (Config.NeedTrace) or the detector has no streaming form and must
+// judge the ECT after the run; otherwise it runs trace-free.
 package engine
 
 import (
@@ -21,7 +20,6 @@ import (
 
 	"goat/internal/cover"
 	"goat/internal/detect"
-	"goat/internal/gtree"
 	"goat/internal/sim"
 	"goat/internal/telemetry"
 	"goat/internal/trace"
@@ -36,9 +34,10 @@ type Feedback struct {
 	// engine's internal wiring (ECT buffer, sink chain) is scrubbed from
 	// the copy: those fields alias per-run machinery that is recycled.
 	Options sim.Options
-	// Result is the run's classified execution result. When a trace Pool
-	// is configured, Result.Trace is only valid until OnRun returns — the
-	// buffer is recycled afterwards (except for the detecting run's).
+	// Result is the run's classified execution result. Result.Trace is
+	// nil unless the campaign buffers its runs, and then only valid until
+	// OnRun returns: the engine recycles the buffer afterwards (except
+	// for the detecting run's).
 	Result *sim.Result
 	// Detection is the detector's verdict (nil without a Detector).
 	Detection *detect.Detection
@@ -59,24 +58,17 @@ type Config struct {
 	// Runs is the execution budget (required, > 0).
 	Runs int
 
-	// Detector classifies each run (optional). In streaming mode a
-	// detector implementing detect.Streaming observes the run live; other
-	// detectors are invoked post-hoc.
+	// Detector classifies each run (optional). A detector implementing
+	// detect.Streaming watches the run as an event sink; any other
+	// detector judges the run after it ends, on its buffered ECT.
 	Detector detect.Detector
-	// DetectorNeedsTrace marks post-hoc detectors that consume Result.Trace,
-	// so buffering is kept when the detector has no streaming form.
-	DetectorNeedsTrace bool
-	// Coverage, when set, accumulates every run into the model (streamed
-	// in streaming mode, via gtree.Build + AddRun in buffered mode — a
-	// build failure aborts the campaign with its error).
+	// Coverage, when set, accumulates every run into the model through a
+	// streamed cover.RunSink.
 	Coverage *cover.Model
 
-	// NeedTrace forces each run to buffer its ECT regardless of the
-	// analyses' needs (for reports and trace artifacts).
+	// NeedTrace makes every run buffer its ECT in Result.Trace, for
+	// callers that read it (reports, trace artifacts, schedule analyses).
 	NeedTrace bool
-	// Buffered opts out of streaming: runs buffer their ECT as needed and
-	// every analysis happens post-hoc on it.
-	Buffered bool
 	// EarlyStop lets streaming detectors halt a run the moment their
 	// verdict is decided (sim.OutcomeStopped). Off, every run is observed
 	// to its natural end, keeping verdicts byte-identical to the post-hoc
@@ -84,9 +76,6 @@ type Config struct {
 	// after the verdict was already decided is classified by the verdict
 	// instead.
 	EarlyStop bool
-	// Pool recycles ECT buffers across the campaign's runs (only used
-	// when runs buffer a trace).
-	Pool *trace.Pool
 	// Sinks are extra event sinks attached to every run.
 	Sinks []trace.Sink
 
@@ -128,9 +117,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Runs <= 0 {
 		return nil, fmt.Errorf("engine: Runs must be positive, got %d", cfg.Runs)
 	}
-	defer trackPoolStats(cfg.Pool)()
+	// Buffered runs recycle their ECT storage through one pool; a
+	// trace-free campaign needs none.
+	var pool *trace.Pool
+	if cfg.buffers() {
+		pool = trace.NewPool()
+		defer flushPoolStats(pool)
+	}
 	if cfg.Parallel > 1 && cfg.OnRun == nil && cfg.Coverage == nil {
-		return runParallel(ctx, &cfg)
+		return runParallel(ctx, &cfg, pool)
 	}
 	rep := &Report{}
 	var prev *Feedback
@@ -139,22 +134,20 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		fb, err := runOne(&cfg, i, prev, &sc)
+		fb := runOne(&cfg, pool, i, prev, &sc)
 		rep.Runs = i + 1
-		if err != nil {
-			return rep, err
-		}
 		found := fb.Detection != nil && fb.Detection.Found
 		if found && rep.Found == nil {
 			rep.Found = fb
 		}
 		var stop bool
 		if cfg.OnRun != nil {
+			var err error
 			if stop, err = cfg.OnRun(fb); err != nil {
 				return rep, err
 			}
 		}
-		recycle(&cfg, fb, fb == rep.Found)
+		recycle(pool, fb, fb == rep.Found)
 		if stop || (cfg.StopOnFound && found) {
 			return rep, nil
 		}
@@ -163,18 +156,24 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// trackPoolStats snapshots a pool's counters and returns a closure that
-// flushes the campaign's delta into the telemetry registry (pools are
-// shared across campaigns, so lifetime totals would double-count).
-func trackPoolStats(p *trace.Pool) func() {
-	if p == nil || !telemetry.Enabled() {
-		return func() {}
+// buffers reports whether the campaign's runs buffer their ECT: the
+// caller asked for it, or the detector has no streaming form and judges
+// the ECT after each run.
+func (c *Config) buffers() bool {
+	if c.NeedTrace {
+		return true
 	}
-	g0, h0 := p.Stats()
-	return func() {
+	_, streams := c.Detector.(detect.Streaming)
+	return c.Detector != nil && !streams
+}
+
+// flushPoolStats adds a campaign's pool counters to the telemetry
+// registry.
+func flushPoolStats(p *trace.Pool) {
+	if telemetry.Enabled() {
 		g, h := p.Stats()
-		telemetry.EnginePoolGets.Add(g - g0)
-		telemetry.EnginePoolHits.Add(h - h0)
+		telemetry.EnginePoolGets.Add(g)
+		telemetry.EnginePoolHits.Add(h)
 	}
 }
 
@@ -188,41 +187,34 @@ type scratch struct {
 	tsink  *telemetry.Sink // per-worker event-category tally (nil when telemetry is off)
 }
 
-// runOne executes one campaign run: wire the analyses (streamed or
-// buffered), run the program, finish the analyses.
-func runOne(cfg *Config, i int, prev *Feedback, sc *scratch) (*Feedback, error) {
+// runOne executes one campaign run: attach the analyses as sinks, run
+// the program, finish the analyses. pool is nil for trace-free runs.
+func runOne(cfg *Config, pool *trace.Pool, i int, prev *Feedback, sc *scratch) *Feedback {
 	opts := cfg.Plan(i, prev)
 
-	streaming := !cfg.Buffered
 	var stream detect.Stream
-	if streaming && cfg.Detector != nil {
-		if sc.stream != nil {
-			sc.stream.Reset() // early-stop configuration survives Reset
-			stream = sc.stream
-		} else if s, ok := cfg.Detector.(detect.Streaming); ok {
-			stream = s.NewStream()
-			if cfg.EarlyStop {
-				if es, ok := stream.(detect.EarlyStopper); ok {
-					es.EnableEarlyStop()
-				}
+	if sc.stream != nil {
+		sc.stream.Reset() // early-stop configuration survives Reset
+		stream = sc.stream
+	} else if s, ok := cfg.Detector.(detect.Streaming); ok {
+		stream = s.NewStream()
+		if cfg.EarlyStop {
+			if es, ok := stream.(detect.EarlyStopper); ok {
+				es.EnableEarlyStop()
 			}
-			if r, ok := stream.(detect.Resettable); ok {
-				sc.stream = r
-			}
+		}
+		if r, ok := stream.(detect.Resettable); ok {
+			sc.stream = r
 		}
 	}
 	var covSink *cover.RunSink
-	if streaming && cfg.Coverage != nil {
+	if cfg.Coverage != nil {
 		covSink = cfg.Coverage.StreamRun()
 	}
 
-	// Buffer the ECT only when something still consumes it post-hoc.
-	wantTrace := cfg.NeedTrace ||
-		(cfg.Detector != nil && cfg.DetectorNeedsTrace && stream == nil) ||
-		(cfg.Coverage != nil && covSink == nil)
-	opts.NoTrace = !wantTrace
-	if wantTrace && cfg.Pool != nil && opts.ECT == nil {
-		opts.ECT = cfg.Pool.Get()
+	opts.NoTrace = pool == nil
+	if pool != nil {
+		opts.ECT = pool.Get()
 	}
 	if sc.tsink == nil && telemetry.Enabled() {
 		sc.tsink = telemetry.NewSink()
@@ -261,15 +253,7 @@ func runOne(cfg *Config, i int, prev *Feedback, sc *scratch) (*Feedback, error) 
 	if covSink != nil {
 		st := covSink.Finish()
 		fb.Stats = &st
-	} else if cfg.Coverage != nil {
-		tree, err := gtree.Build(r.Trace)
-		if err != nil {
-			return fb, err
-		}
-		st := cfg.Coverage.AddRun(tree)
-		fb.Stats = &st
 	}
-
 	if stream != nil {
 		d := stream.Finish(r)
 		fb.Detection = &d
@@ -277,17 +261,17 @@ func runOne(cfg *Config, i int, prev *Feedback, sc *scratch) (*Feedback, error) 
 		d := cfg.Detector.Detect(r)
 		fb.Detection = &d
 	}
-	return fb, nil
+	return fb
 }
 
 // recycle returns a run's trace buffer to the pool unless the run is
 // kept (the campaign's detecting run, whose trace the caller may still
 // read). The recycled Result's Trace is nilled so no alias survives.
-func recycle(cfg *Config, fb *Feedback, keep bool) {
-	if cfg.Pool == nil || keep || fb == nil || fb.Result == nil || fb.Result.Trace == nil {
+func recycle(pool *trace.Pool, fb *Feedback, keep bool) {
+	if pool == nil || keep || fb == nil || fb.Result == nil || fb.Result.Trace == nil {
 		return
 	}
-	cfg.Pool.Put(fb.Result.Trace)
+	pool.Put(fb.Result.Trace)
 	fb.Result.Trace = nil
 }
 
@@ -296,7 +280,7 @@ func recycle(cfg *Config, fb *Feedback, keep bool) {
 // cell matches the sequential campaign's. With StopOnFound, workers stop
 // claiming indices past the best detection but runs already in flight
 // complete (one of them may detect at a lower index).
-func runParallel(ctx context.Context, cfg *Config) (*Report, error) {
+func runParallel(ctx context.Context, cfg *Config, pool *trace.Pool) (*Report, error) {
 	workers := cfg.Parallel
 	if workers > cfg.Runs {
 		workers = cfg.Runs
@@ -349,17 +333,14 @@ func runParallel(ctx context.Context, cfg *Config) (*Report, error) {
 				if i < 0 {
 					return
 				}
-				fb, err := runOne(cfg, i, nil, &sc)
+				fb := runOne(cfg, pool, i, nil, &sc)
 				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
 				if fb.Detection != nil && fb.Detection.Found &&
 					(found == nil || fb.Index < found.Index) {
-					recycle(cfg, found, false) // dethroned detection
+					recycle(pool, found, false) // dethroned detection
 					found = fb
 				} else {
-					recycle(cfg, fb, false)
+					recycle(pool, fb, false)
 				}
 				mu.Unlock()
 			}

@@ -11,12 +11,11 @@ import (
 	"goat/internal/engine"
 	"goat/internal/goker"
 	"goat/internal/sim"
-	"goat/internal/trace"
 )
 
 // cellConfig is a Table IV-style campaign cell: one rare kernel under the
 // GoAT detector with a delay bound, stopping at first detection.
-func cellConfig(t *testing.T, buffered bool) engine.Config {
+func cellConfig(t *testing.T) engine.Config {
 	t.Helper()
 	k, ok := goker.ByID("kubernetes_6632")
 	if !ok {
@@ -27,47 +26,99 @@ func cellConfig(t *testing.T, buffered bool) engine.Config {
 		Plan: func(i int, _ *engine.Feedback) sim.Options {
 			return sim.Options{Seed: 1 + int64(i), Delays: 2}
 		},
-		Runs:               200,
-		Detector:           detect.Goat{},
-		DetectorNeedsTrace: true,
-		Buffered:           buffered,
-		Pool:               trace.NewPool(),
-		StopOnFound:        true,
+		Runs:        200,
+		Detector:    detect.Goat{},
+		StopOnFound: true,
 	}
 }
 
-func TestStreamingCellMatchesBuffered(t *testing.T) {
-	buf, err := engine.Run(context.Background(), cellConfig(t, true))
+// TestStreamingCellMatchesPostHoc holds the streamed GoAT verdict to the
+// post-hoc one. With NeedTrace set, every run's streamed verdict must
+// equal detect.Goat{}.Detect over the same run's ECT, and the detecting
+// run keeps its trace past the campaign. Without NeedTrace the cell runs
+// trace-free and finds the same run with the same verdict.
+func TestStreamingCellMatchesPostHoc(t *testing.T) {
+	cfg := cellConfig(t)
+	cfg.NeedTrace = true
+	runs := 0
+	cfg.OnRun = func(fb *engine.Feedback) (bool, error) {
+		runs++
+		if fb.Result.Trace == nil {
+			t.Fatalf("run %d: NeedTrace campaign buffered no trace", fb.Index)
+		}
+		if post := (detect.Goat{}).Detect(fb.Result); post != *fb.Detection {
+			t.Fatalf("run %d: streamed %+v, post-hoc %+v", fb.Index, *fb.Detection, post)
+		}
+		return false, nil
+	}
+	traced, err := engine.Run(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("buffered: %v", err)
+		t.Fatalf("traced: %v", err)
 	}
-	str, err := engine.Run(context.Background(), cellConfig(t, false))
+	free, err := engine.Run(context.Background(), cellConfig(t))
 	if err != nil {
-		t.Fatalf("streaming: %v", err)
+		t.Fatalf("trace-free: %v", err)
 	}
-	if buf.Found == nil || str.Found == nil {
-		t.Fatalf("found: buffered %v, streaming %v", buf.Found, str.Found)
+	if traced.Found == nil || free.Found == nil {
+		t.Fatalf("found: traced %v, trace-free %v", traced.Found, free.Found)
 	}
-	if buf.Found.Index != str.Found.Index {
-		t.Errorf("detection index: buffered %d, streaming %d", buf.Found.Index, str.Found.Index)
+	if runs != traced.Found.Index+1 {
+		t.Errorf("OnRun saw %d runs, want %d", runs, traced.Found.Index+1)
 	}
-	if *buf.Found.Detection != *str.Found.Detection {
-		t.Errorf("detection: buffered %+v, streaming %+v", *buf.Found.Detection, *str.Found.Detection)
+	if traced.Found.Index != free.Found.Index {
+		t.Errorf("detection index: traced %d, trace-free %d", traced.Found.Index, free.Found.Index)
 	}
-	if str.Found.Result.Trace != nil {
-		t.Error("streaming cell buffered a trace")
+	if *traced.Found.Detection != *free.Found.Detection {
+		t.Errorf("detection: traced %+v, trace-free %+v", *traced.Found.Detection, *free.Found.Detection)
 	}
-	if buf.Found.Result.Trace == nil {
-		t.Error("buffered cell's detecting run lost its trace to the pool")
+	if free.Found.Result.Trace != nil {
+		t.Error("trace-free cell buffered a trace")
+	}
+	if traced.Found.Result.Trace == nil {
+		t.Error("detecting run lost its trace to the pool")
+	}
+}
+
+// resultOnly is a detector with no streaming form: it can only judge a
+// run after it ends.
+type resultOnly struct{}
+
+func (resultOnly) Name() string { return "result-only" }
+
+func (resultOnly) Detect(r *sim.Result) detect.Detection {
+	return detect.Goat{}.Detect(r)
+}
+
+// TestPostHocDetectorGetsTrace: a detector without a streaming form
+// judges the ECT after the run, so the engine buffers every run's trace
+// even though the caller did not set NeedTrace.
+func TestPostHocDetectorGetsTrace(t *testing.T) {
+	cfg := cellConfig(t)
+	cfg.Detector = resultOnly{}
+	cfg.Runs = 20
+	cfg.StopOnFound = false
+	runs := 0
+	cfg.OnRun = func(fb *engine.Feedback) (bool, error) {
+		runs++
+		if fb.Result.Trace == nil {
+			t.Errorf("run %d: post-hoc detector got no trace", fb.Index)
+		}
+		return false, nil
+	}
+	if _, err := engine.Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if runs != cfg.Runs {
+		t.Fatalf("OnRun saw %d/%d runs", runs, cfg.Runs)
 	}
 }
 
 func TestParallelCellMatchesSequential(t *testing.T) {
-	seq, err := engine.Run(context.Background(), cellConfig(t, false))
+	seq, err := engine.Run(context.Background(), cellConfig(t))
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	cfg := cellConfig(t, false)
+	cfg := cellConfig(t)
 	cfg.Parallel = 8
 	par, err := engine.Run(context.Background(), cfg)
 	if err != nil {
@@ -159,11 +210,10 @@ func TestEarlyStopShortensDecidedRun(t *testing.T) {
 			Plan: func(i int, _ *engine.Feedback) sim.Options {
 				return sim.Options{Seed: 1}
 			},
-			Runs:               1,
-			Detector:           detect.LockDL{},
-			DetectorNeedsTrace: true,
-			EarlyStop:          early,
-			StopOnFound:        true,
+			Runs:        1,
+			Detector:    detect.LockDL{},
+			EarlyStop:   early,
+			StopOnFound: true,
 		})
 		if err != nil {
 			t.Fatalf("early=%v: %v", early, err)
@@ -244,17 +294,15 @@ func livelockProg(g *sim.G) {
 // timeoutConfig is a campaign over a livelocked kernel with a tight step
 // budget: every execution times out and the detector must classify the
 // hang, in sequential and parallel mode alike.
-func timeoutConfig(d detect.Detector, needTrace bool) engine.Config {
+func timeoutConfig(d detect.Detector) engine.Config {
 	return engine.Config{
 		Prog: livelockProg,
 		Plan: func(i int, _ *engine.Feedback) sim.Options {
 			return sim.Options{Seed: 1 + int64(i), MaxSteps: 300}
 		},
-		Runs:               16,
-		Detector:           d,
-		DetectorNeedsTrace: needTrace,
-		Pool:               trace.NewPool(),
-		StopOnFound:        true,
+		Runs:        16,
+		Detector:    d,
+		StopOnFound: true,
 	}
 }
 
@@ -263,11 +311,11 @@ func timeoutConfig(d detect.Detector, needTrace bool) engine.Config {
 // same detection at the same index as the sequential campaign, and the
 // detecting run must carry the TO outcome.
 func TestTimeoutClassificationUnderParallel(t *testing.T) {
-	seq, err := engine.Run(context.Background(), timeoutConfig(detect.Goat{}, true))
+	seq, err := engine.Run(context.Background(), timeoutConfig(detect.Goat{}))
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	cfg := timeoutConfig(detect.Goat{}, true)
+	cfg := timeoutConfig(detect.Goat{})
 	cfg.Parallel = 8
 	par, err := engine.Run(context.Background(), cfg)
 	if err != nil {
@@ -292,7 +340,7 @@ func TestTimeoutClassificationUnderParallel(t *testing.T) {
 // livelock HANG but does not count it as a detection, so the campaign
 // exhausts its budget — in parallel mode too.
 func TestTimeoutInvisibleToBuiltinUnderParallel(t *testing.T) {
-	cfg := timeoutConfig(detect.Builtin{}, false)
+	cfg := timeoutConfig(detect.Builtin{})
 	cfg.Parallel = 4
 	rep, err := engine.Run(context.Background(), cfg)
 	if err != nil {
@@ -311,7 +359,7 @@ func TestTimeoutInvisibleToBuiltinUnderParallel(t *testing.T) {
 // boundary.
 func TestCancellationStopsSequentialCampaign(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg := cellConfig(t, false)
+	cfg := cellConfig(t)
 	cfg.StopOnFound = false
 	cfg.Runs = 50
 	plan := cfg.Plan
@@ -334,7 +382,7 @@ func TestCancellationStopsSequentialCampaign(t *testing.T) {
 func TestCancellationStopsParallelCampaign(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := cellConfig(t, false)
+	cfg := cellConfig(t)
 	cfg.Parallel = 4
 	rep, err := engine.Run(ctx, cfg)
 	if err != context.Canceled {

@@ -59,8 +59,8 @@ func TestChaosEquivalence(t *testing.T) {
 	}
 	kernels := suite69(t)
 	tools := []harness.Spec{
-		{Name: "goat-D0", Detector: detect.Goat{}, NeedTrace: true},
-		{Name: "goat-D2", Detector: detect.Goat{}, Delays: 2, NeedTrace: true},
+		{Name: "goat-D0", Detector: detect.Goat{}},
+		{Name: "goat-D2", Detector: detect.Goat{}, Delays: 2},
 	}
 	cfg := harness.Config{MaxExecs: 3, BaseSeed: 7, Kernels: kernels, Tools: tools}
 	want := harness.RunTableIV(cfg)
@@ -152,7 +152,7 @@ func TestChaosEquivalence(t *testing.T) {
 func TestCoordinatorRestartResumes(t *testing.T) {
 	kernels := kernelsByID(t, "moby_28462", "etcd_6873", "grpc_660", "kubernetes_6632", "fuzz_send_no_recv_min")
 	tools := []harness.Spec{
-		{Name: "goat-D0", Detector: detect.Goat{}, NeedTrace: true},
+		{Name: "goat-D0", Detector: detect.Goat{}},
 		{Name: "builtin", Detector: detect.Builtin{}},
 	}
 	cfg := harness.Config{MaxExecs: 4, BaseSeed: 11, Kernels: kernels, Tools: tools}

@@ -57,8 +57,6 @@ type ToolSpec struct {
 	Detector string `json:"detector"`
 	// Delays is the yield bound D.
 	Delays int `json:"delays,omitempty"`
-	// NeedTrace marks detectors that consume the ECT.
-	NeedTrace bool `json:"need_trace,omitempty"`
 }
 
 // NewToolSpec converts a harness.Spec into its wire form.
@@ -66,7 +64,7 @@ func NewToolSpec(s harness.Spec) (ToolSpec, error) {
 	if s.Detector == nil {
 		return ToolSpec{}, fmt.Errorf("fabric: tool %q has no detector", s.Name)
 	}
-	t := ToolSpec{Name: s.Name, Detector: s.Detector.Name(), Delays: s.Delays, NeedTrace: s.NeedTrace}
+	t := ToolSpec{Name: s.Name, Detector: s.Detector.Name(), Delays: s.Delays}
 	if _, err := t.Spec(); err != nil {
 		return ToolSpec{}, err
 	}
@@ -90,7 +88,7 @@ func (t ToolSpec) Spec() (harness.Spec, error) {
 	default:
 		return harness.Spec{}, fmt.Errorf("fabric: tool %q names unknown detector %q", t.Name, t.Detector)
 	}
-	return harness.Spec{Name: t.Name, Detector: d, Delays: t.Delays, NeedTrace: t.NeedTrace}, nil
+	return harness.Spec{Name: t.Name, Detector: d, Delays: t.Delays}, nil
 }
 
 // JobSpec is one distributed campaign: the cell matrix plus every knob a
@@ -110,10 +108,6 @@ type JobSpec struct {
 	BaseSeed int64 `json:"base_seed,omitempty"`
 	// Faults enables deterministic fault injection for every execution.
 	Faults fault.Options `json:"faults,omitempty"`
-	// Buffered opts out of the streaming pipeline.
-	Buffered bool `json:"buffered,omitempty"`
-	// EarlyStop lets streaming detectors halt runs early.
-	EarlyStop bool `json:"early_stop,omitempty"`
 	// CellBudget is the per-cell wall-clock watchdog (0 = default 30s).
 	CellBudget time.Duration `json:"cell_budget,omitempty"`
 	// Retries is the watchdog's fresh-seed retry count (harness semantics:
@@ -132,8 +126,6 @@ func NewJob(cfg harness.Config) (JobSpec, error) {
 		MaxExecs:   cfg.MaxExecs,
 		BaseSeed:   cfg.BaseSeed,
 		Faults:     cfg.Faults,
-		Buffered:   cfg.Buffered,
-		EarlyStop:  cfg.EarlyStop,
 		CellBudget: cfg.CellBudget,
 		Retries:    cfg.Retries,
 		FlightRec:  cfg.FlightRecDir != "",
@@ -197,8 +189,6 @@ func (j JobSpec) CellConfig(flightDir string) harness.Config {
 		MaxExecs:     j.MaxExecs,
 		BaseSeed:     j.BaseSeed,
 		Faults:       j.Faults,
-		Buffered:     j.Buffered,
-		EarlyStop:    j.EarlyStop,
 		CellBudget:   j.CellBudget,
 		Retries:      j.Retries,
 		FlightRecDir: flightDir,
@@ -230,10 +220,10 @@ func (j JobSpec) Fingerprint() string {
 		put(b)
 	}
 	for _, t := range j.Tools {
-		put(fmt.Sprintf("%s/%s/%d/%v", t.Name, t.Detector, t.Delays, t.NeedTrace))
+		put(fmt.Sprintf("%s/%s/%d", t.Name, t.Detector, t.Delays))
 	}
-	put(fmt.Sprintf("%d/%d/%v/%v/%v/%d/%v",
-		j.MaxExecs, j.BaseSeed, j.Buffered, j.EarlyStop, j.CellBudget, j.Retries, j.Faults))
+	put(fmt.Sprintf("%d/%d/%v/%d/%v",
+		j.MaxExecs, j.BaseSeed, j.CellBudget, j.Retries, j.Faults))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -23,7 +23,7 @@ func smallJob(t *testing.T) JobSpec {
 		MaxExecs: 3,
 		Kernels:  kernelsByID(t, "moby_28462", "etcd_6873"),
 		Tools: []harness.Spec{
-			{Name: "goat-D0", Detector: detect.Goat{}, NeedTrace: true},
+			{Name: "goat-D0", Detector: detect.Goat{}},
 			{Name: "builtin", Detector: detect.Builtin{}},
 		},
 	})
@@ -56,7 +56,7 @@ func TestToolSpecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Spec(%s): %v", s.Name, err)
 		}
-		if back.Name != s.Name || back.Delays != s.Delays || back.NeedTrace != s.NeedTrace {
+		if back.Name != s.Name || back.Delays != s.Delays {
 			t.Fatalf("round trip mangled %+v -> %+v", s, back)
 		}
 		if back.Detector.Name() != s.Detector.Name() {
@@ -283,8 +283,8 @@ func TestCompleteIsIdempotent(t *testing.T) {
 func TestFabricEndToEnd(t *testing.T) {
 	kernels := kernelsByID(t, "moby_28462", "etcd_6873", "grpc_660")
 	tools := []harness.Spec{
-		{Name: "goat-D0", Detector: detect.Goat{}, NeedTrace: true},
-		{Name: "goat-D2", Detector: detect.Goat{}, Delays: 2, NeedTrace: true},
+		{Name: "goat-D0", Detector: detect.Goat{}},
+		{Name: "goat-D2", Detector: detect.Goat{}, Delays: 2},
 	}
 	cfg := harness.Config{MaxExecs: 5, BaseSeed: 3, Kernels: kernels, Tools: tools}
 	want := harness.RunTableIV(cfg)

@@ -66,7 +66,7 @@ func findingDisagreement(k goker.Kernel, a, b *systematic.Finding) string {
 		return ""
 	case a.Detection.Verdict != b.Detection.Verdict:
 		return fmt.Sprintf("dpor verdict %q, explore %q", b.Detection.Verdict, a.Detection.Verdict)
-	case fmt.Sprint(a.Yields) == fmt.Sprint(b.Yields) && len(b.Wakes) == 0:
+	case fmt.Sprint(a.Yields) == fmt.Sprint(b.Yields):
 		return ""
 	}
 	// Different placement: equivalent only if it independently replays.

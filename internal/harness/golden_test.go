@@ -62,8 +62,8 @@ func goldenCampaign() *harness.TableIV {
 		Tools: []harness.Spec{
 			{Name: "builtin", Detector: detect.Builtin{}},
 			{Name: "goleak", Detector: detect.Goleak{}},
-			{Name: "goat-D0", Detector: detect.Goat{}, Delays: 0, NeedTrace: true},
-			{Name: "goat-D2", Detector: detect.Goat{}, Delays: 2, NeedTrace: true},
+			{Name: "goat-D0", Detector: detect.Goat{}, Delays: 0},
+			{Name: "goat-D2", Detector: detect.Goat{}, Delays: 2},
 		},
 		Kernels: kernels,
 	})

@@ -40,8 +40,6 @@ type Spec struct {
 	// Delays is the yield bound D for the execution (baselines use 0:
 	// they observe native schedules).
 	Delays int
-	// NeedTrace marks detectors that consume the ECT (GoAT, LockDL).
-	NeedTrace bool
 }
 
 // Baselines returns the three baseline detector columns (builtin runtime
@@ -50,7 +48,7 @@ type Spec struct {
 func Baselines() []Spec {
 	return []Spec{
 		{Name: "builtin", Detector: detect.Builtin{}},
-		{Name: "lockdl", Detector: detect.LockDL{}, NeedTrace: true},
+		{Name: "lockdl", Detector: detect.LockDL{}},
 		{Name: "goleak", Detector: detect.Goleak{}},
 	}
 }
@@ -61,10 +59,9 @@ func DiffTools(dmax int) []Spec {
 	specs := Baselines()
 	for d := 0; d <= dmax; d++ {
 		specs = append(specs, Spec{
-			Name:      fmt.Sprintf("goat-D%d", d),
-			Detector:  detect.Goat{},
-			Delays:    d,
-			NeedTrace: true,
+			Name:     fmt.Sprintf("goat-D%d", d),
+			Detector: detect.Goat{},
+			Delays:   d,
 		})
 	}
 	return specs
@@ -79,7 +76,7 @@ func DefaultTools() []Spec { return DiffTools(4) }
 // execution that contains predicted hazards is reported found with a
 // POTENTIAL-k verdict.
 func PredictSpec() Spec {
-	return Spec{Name: "predict", Detector: detect.Predictive{}, NeedTrace: true}
+	return Spec{Name: "predict", Detector: detect.Predictive{}}
 }
 
 // ToolsWithPredict returns DefaultTools plus the predictive column.
@@ -104,20 +101,6 @@ type Config struct {
 	// Faults enables deterministic fault injection for every execution of
 	// the campaign (robustness benchmarking). The zero value disables it.
 	Faults fault.Options
-
-	// Buffered opts out of the streaming pipeline: every execution buffers
-	// its ECT and detectors run post-hoc on it (the pre-engine behavior).
-	// The default streams the online detectors over trace-free runs; both
-	// modes produce identical cells.
-	Buffered bool
-
-	// EarlyStop lets streaming detectors halt an execution the moment
-	// their verdict is decided. Off by default: an early-stopped run is
-	// classified by the deciding verdict, which can differ from the
-	// settle-time classification (e.g. a lock-order cycle detected before
-	// a crash), so campaigns that must match the post-hoc pipeline
-	// byte-for-byte leave this off.
-	EarlyStop bool
 
 	// CellBudget bounds the wall-clock time one (bug, tool) cell may take
 	// before the watchdog abandons it — the analogue of the paper's
@@ -270,9 +253,9 @@ func MinExecs(k goker.Kernel, spec Spec, maxExecs int, baseSeed int64) Cell {
 	return minExecs(k, spec, Config{}, maxExecs, baseSeed, nil)
 }
 
-// minExecs is the raw campaign loop; cfg contributes the execution mode
-// (faults, buffered, early-stop) while maxExecs and seed are explicit so
-// watchdog retries can re-seed without touching the config.
+// minExecs is the raw campaign loop; cfg contributes the faults while
+// maxExecs and seed are explicit so watchdog retries can re-seed without
+// touching the config.
 func minExecs(k goker.Kernel, spec Spec, cfg Config, maxExecs int, seed int64, ring *flightRing) Cell {
 	cell := Cell{Bug: k.ID, Tool: spec.Name}
 	if maxExecs <= 0 {
@@ -292,14 +275,10 @@ func minExecs(k goker.Kernel, spec Spec, cfg Config, maxExecs int, seed int64, r
 				Faults: cfg.Faults,
 			}
 		},
-		Runs:               maxExecs,
-		Detector:           spec.Detector,
-		DetectorNeedsTrace: spec.NeedTrace,
-		Buffered:           cfg.Buffered,
-		EarlyStop:          cfg.EarlyStop,
-		Pool:               trace.NewPool(),
-		Sinks:              sinks,
-		StopOnFound:        true,
+		Runs:        maxExecs,
+		Detector:    spec.Detector,
+		Sinks:       sinks,
+		StopOnFound: true,
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

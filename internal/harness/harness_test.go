@@ -242,7 +242,7 @@ func TestMinExecsHonorsBudget(t *testing.T) {
 		t.Fatalf("cell = %+v", cell)
 	}
 	// goat sees it on the first run.
-	cell = MinExecs(k, Spec{Name: "goat", Detector: detect.Goat{}, NeedTrace: true}, 25, 0)
+	cell = MinExecs(k, Spec{Name: "goat", Detector: detect.Goat{}}, 25, 0)
 	if !cell.Found || cell.MinExecs != 1 {
 		t.Fatalf("cell = %+v", cell)
 	}

@@ -83,8 +83,8 @@ func TestCampaignSurvivesHangAndPanic(t *testing.T) {
 	kernels = append(kernels, hangKernel(), panicKernel("synthetic_panic"))
 
 	tools := []harness.Spec{
-		{Name: "goat-D0", Detector: detect.Goat{}, NeedTrace: true},
-		{Name: "panicky", Detector: panickyDetector{inner: detect.Goat{}, bug: "synthetic_panic"}, NeedTrace: true},
+		{Name: "goat-D0", Detector: detect.Goat{}},
+		{Name: "panicky", Detector: panickyDetector{inner: detect.Goat{}, bug: "synthetic_panic"}},
 	}
 	cfg := harness.Config{
 		MaxExecs:   1,
@@ -165,7 +165,7 @@ func TestHealthyCampaignHealthLine(t *testing.T) {
 	k, _ := goker.ByID("moby_28462")
 	tab := harness.RunTableIV(harness.Config{
 		MaxExecs: 5,
-		Tools:    []harness.Spec{{Name: "goat-D1", Detector: detect.Goat{}, Delays: 1, NeedTrace: true}},
+		Tools:    []harness.Spec{{Name: "goat-D1", Detector: detect.Goat{}, Delays: 1}},
 		Kernels:  []goker.Kernel{k},
 	})
 	health := report.CampaignHealth(tab)
@@ -232,7 +232,7 @@ func TestCanceledCampaignFlushesPartialTable(t *testing.T) {
 		MaxExecs: 2,
 		Ctx:      ctx,
 		Kernels:  kernels,
-		Tools:    []harness.Spec{{Name: "goat-D0", Detector: detect.Goat{}, NeedTrace: true}},
+		Tools:    []harness.Spec{{Name: "goat-D0", Detector: detect.Goat{}}},
 		OnCell: func(c harness.Cell) {
 			evaluated++
 			if evaluated == 2 {

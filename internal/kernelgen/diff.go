@@ -12,7 +12,6 @@ import (
 	"goat/internal/gtree"
 	"goat/internal/harness"
 	"goat/internal/sim"
-	"goat/internal/trace"
 )
 
 // DiffConfig bounds one differential campaign.
@@ -180,10 +179,9 @@ type violation struct {
 // tool whose Spec matches the run's delay bound, and returns the first
 // violation (nil if all verdicts agree with the oracle).
 //
-// The sweep runs on the campaign engine in buffered mode: every tool and
-// the ground-truth oracle inspect the same full ECT per run, so runs
-// cannot stream trace-free, but the pool still recycles the trace buffer
-// across the whole grid.
+// The sweep runs on the campaign engine with NeedTrace set: every tool
+// and the ground-truth oracle inspect the same full ECT per run, and the
+// engine recycles the trace buffer across the whole grid.
 func examine(p *Prog, tools []harness.Spec, baseSeed int64, sweep int, runs *int, model *cover.Model) *violation {
 	delays := map[int]bool{}
 	for _, spec := range tools {
@@ -213,9 +211,7 @@ func examine(p *Prog, tools []harness.Spec, baseSeed int64, sweep int, runs *int
 			return sim.Options{Seed: grid[i].seed, Delays: grid[i].d}
 		},
 		Runs:      len(grid),
-		Buffered:  true,
 		NeedTrace: true,
-		Pool:      trace.NewPool(),
 		OnRun: func(fb *engine.Feedback) (bool, error) {
 			r := fb.Result
 			seed, d := grid[fb.Index].seed, grid[fb.Index].d

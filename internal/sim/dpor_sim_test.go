@@ -1,19 +1,18 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"goat/internal/trace"
 )
 
 // systematicOpts returns deterministic systematic-mode options: FIFO
-// dispatch, no probabilistic yields or preempts, forced yields/wakes only.
-func systematicOpts(yields []int64, wakes map[int64]trace.GoID) Options {
-	if yields == nil && wakes == nil {
+// dispatch, no probabilistic yields or preempts, forced yields only.
+func systematicOpts(yields []int64) Options {
+	if yields == nil {
 		yields = []int64{}
 	}
-	return Options{Pick: PickFIFO, PreemptProb: -1, YieldAt: yields, WakeAt: wakes}
+	return Options{Pick: PickFIFO, PreemptProb: -1, YieldAt: yields}
 }
 
 // orderProg spawns three children that each record their name; under FIFO
@@ -43,7 +42,7 @@ func runOrder(t *testing.T, opts Options) ([]string, *Result) {
 }
 
 func TestRecordOpsCapturesActorAndRunnable(t *testing.T) {
-	opts := systematicOpts(nil, nil)
+	opts := systematicOpts(nil)
 	opts.RecordOps = true
 	_, r := runOrder(t, opts)
 
@@ -58,7 +57,7 @@ func TestRecordOpsCapturesActorAndRunnable(t *testing.T) {
 }
 
 func TestRecordOpsParallelToTrace(t *testing.T) {
-	opts := systematicOpts(nil, nil)
+	opts := systematicOpts(nil)
 	opts.RecordOps = true
 	_, r := runOrder(t, opts)
 
@@ -84,68 +83,5 @@ func TestRecordOpsParallelToTrace(t *testing.T) {
 			}
 		}
 		seen[e.G] = true
-	}
-}
-
-func TestWakeAtDeterministic(t *testing.T) {
-	wakes := map[int64]trace.GoID{1: 4}
-	o1, r1 := runOrder(t, systematicOpts(nil, wakes))
-	o2, r2 := runOrder(t, systematicOpts(nil, wakes))
-	if fmt.Sprint(o1) != fmt.Sprint(o2) {
-		t.Fatalf("wake runs diverged: %v vs %v", o1, o2)
-	}
-	if len(r1.Trace.Events) != len(r2.Trace.Events) {
-		t.Fatalf("trace lengths diverged: %d vs %d", len(r1.Trace.Events), len(r2.Trace.Events))
-	}
-	for i := range r1.Trace.Events {
-		if r1.Trace.Events[i] != r2.Trace.Events[i] {
-			t.Fatalf("event %d diverged: %+v vs %+v", i, r1.Trace.Events[i], r2.Trace.Events[i])
-		}
-	}
-}
-
-// TestWakeAtBeyondSingleYield proves the targeted wake enlarges the
-// reachable schedule space: waking g4 ("C") at main's first op produces an
-// order that no single plain-yield placement can realize, because a plain
-// yield only rotates the yielder to the back of the FIFO queue.
-func TestWakeAtBeyondSingleYield(t *testing.T) {
-	wakeOrder, r := runOrder(t, systematicOpts(nil, map[int64]trace.GoID{1: 4}))
-	want := fmt.Sprint([]string{"C", "A", "B"})
-	if fmt.Sprint(wakeOrder) != want {
-		t.Fatalf("wake order = %v, want C A B", wakeOrder)
-	}
-	for op := int64(1); op <= int64(r.Ops); op++ {
-		order, _ := runOrder(t, systematicOpts([]int64{op}, nil))
-		if fmt.Sprint(order) == want {
-			t.Fatalf("single yield at op %d already realizes %v — wake adds nothing", op, order)
-		}
-	}
-}
-
-func TestWakeAtAbsentTargetDegradesToYield(t *testing.T) {
-	wakeOrder, wr := runOrder(t, systematicOpts(nil, map[int64]trace.GoID{2: 99}))
-	yieldOrder, yr := runOrder(t, systematicOpts([]int64{2}, nil))
-	if fmt.Sprint(wakeOrder) != fmt.Sprint(yieldOrder) {
-		t.Fatalf("degraded wake order %v != plain yield order %v", wakeOrder, yieldOrder)
-	}
-	if len(wr.Trace.Events) != len(yr.Trace.Events) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(wr.Trace.Events), len(yr.Trace.Events))
-	}
-	for i := range wr.Trace.Events {
-		if wr.Trace.Events[i] != yr.Trace.Events[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, wr.Trace.Events[i], yr.Trace.Events[i])
-		}
-	}
-}
-
-// TestWakeAtKeepsRecordReplayClean pins that targeted wakes draw no
-// scheduling decisions: a recorded wake run produces an empty decision
-// script under FIFO, identical to the plain systematic mode.
-func TestWakeAtKeepsRecordReplayClean(t *testing.T) {
-	opts := systematicOpts(nil, map[int64]trace.GoID{1: 4})
-	opts.Record = true
-	_, r := runOrder(t, opts)
-	if len(r.Schedule) != 0 {
-		t.Fatalf("wake run recorded %d decisions, want 0 (wakes must bypass the decider)", len(r.Schedule))
 	}
 }

@@ -128,25 +128,6 @@ type Options struct {
 	// deterministic function of the yield placement — the substrate of
 	// the systematic explorer and the schedule minimizer.
 	YieldAt []int64
-
-	// WakeAt extends systematic mode with *targeted* backtracking: at
-	// each listed op index the acting goroutine is forced to yield (as
-	// with YieldAt) and the named goroutine, if currently runnable, is
-	// moved to the head of the run queue so it is dispatched next. This
-	// realizes a specific operation reversal directly instead of relying
-	// on FIFO rotation to eventually schedule the target — the
-	// wake-at-backtrack-point mechanism of the DPOR explorer. A non-nil
-	// WakeAt enables systematic mode even when YieldAt is nil. Targets
-	// that are not runnable at the op degrade to a plain forced yield.
-	// Wakes never draw scheduling decisions, so Record/Replay scripts
-	// are unaffected.
-	WakeAt map[int64]trace.GoID
-}
-
-// systematicMode reports whether the options select deterministic
-// systematic scheduling (forced yields at fixed op indices only).
-func (o Options) systematicMode() bool {
-	return o.YieldAt != nil || o.WakeAt != nil
 }
 
 const (

@@ -66,8 +66,7 @@ type Scheduler struct {
 	panicVal  any
 	panicG    trace.GoID
 
-	yieldAt map[int64]bool       // systematic mode: op indices that force a yield
-	wakeAt  map[int64]trace.GoID // systematic mode: op indices with a targeted wake
+	yieldAt map[int64]bool // systematic mode: op indices that force a yield
 
 	opRunnable []int32      // per-op other-runnable counts (Options.RecordOps)
 	opActor    []trace.GoID // per-op acting goroutine (Options.RecordOps)
@@ -118,12 +117,6 @@ func newScheduler(opts Options) *Scheduler {
 		s.yieldAt = make(map[int64]bool, len(opts.YieldAt))
 		for _, op := range opts.YieldAt {
 			s.yieldAt[op] = true
-		}
-	}
-	if opts.WakeAt != nil {
-		s.wakeAt = make(map[int64]trace.GoID, len(opts.WakeAt))
-		for op, g := range opts.WakeAt {
-			s.wakeAt[op] = g
 		}
 	}
 	if !opts.NoTrace {
@@ -178,7 +171,7 @@ func (s *Scheduler) release() {
 	s.stopArr = [4]trace.Stopper{}
 	s.stoppers = nil
 	s.dec = nil
-	s.yieldAt, s.wakeAt = nil, nil
+	s.yieldAt = nil
 	s.opRunnable, s.opActor, s.eventOps = nil, nil, nil
 	s.faults = nil
 	s.stalled = s.stalled[:0]
@@ -467,25 +460,6 @@ func (s *Scheduler) fastRedispatch() bool {
 	return true
 }
 
-// wakeYield forces a yield at a targeted-wake op: the acting goroutine
-// re-enqueues as usual, and the wake target, if currently runnable, is
-// moved to the head of the run queue so it is dispatched next (under
-// PickFIFO). An absent or unrunnable target degrades to a plain forced
-// yield — the schedule stays deterministic either way.
-func (g *G) wakeYield(target trace.GoID, file string, line int) {
-	s := g.s
-	for i, r := range s.runq {
-		if r.id == target {
-			if i > 0 {
-				copy(s.runq[1:i+1], s.runq[:i])
-				s.runq[0] = r
-			}
-			break
-		}
-	}
-	g.yield(trace.EvGoSched, file, line)
-}
-
 // sliceOpBudget bounds how many concurrency usages one goroutine may
 // execute without leaving the processor. A goroutine spinning through CU
 // points (a select/default polling loop) would otherwise starve the
@@ -528,13 +502,8 @@ func (g *G) handler(cat trace.Category, file string, line int) {
 	if s.faults != nil {
 		s.applyFaults(g, cat, file, line)
 	}
-	if s.yieldAt != nil || s.wakeAt != nil {
+	if s.yieldAt != nil {
 		// Systematic mode: yields fire exactly at the chosen op indices.
-		// A lookup in a nil map is false, so either map may be absent.
-		if target, ok := s.wakeAt[int64(s.ops)]; ok {
-			g.wakeYield(target, file, line)
-			return
-		}
 		if s.yieldAt[int64(s.ops)] {
 			g.yield(trace.EvGoSched, file, line)
 			return

@@ -7,7 +7,7 @@
 // only there.
 //
 // A run is expanded when it is not a sleep hit (below) and its placement
-// holds fewer than Config.MaxYields interventions: its trace is replayed
+// holds fewer than Config.MaxYields yields: its trace is replayed
 // through hb.BuildDeps in Must mode (lock-induced edges dropped — another
 // schedule could acquire the locks in the other order, so they must not
 // mask reorderability). A *racing pair* is a dependent, Must-concurrent,
@@ -49,8 +49,9 @@
 // every placement is generated at most once, bounded by Config.MaxYields
 // and the Config.MaxRuns budget over candidates considered. The campaign
 // loop itself is engine.Run: planning pops the work queue, analysis and
-// expansion happen in the OnRun observer, and detection uses the same
-// detect.Goat post-hoc path as Explore, so verdicts are byte-identical.
+// expansion happen in the OnRun observer, and detection streams through
+// detect.Goat's online core, the same core Explore's post-hoc
+// detect.Goat replays each trace through, so verdicts are byte-identical.
 package systematic
 
 import (
@@ -86,38 +87,23 @@ func (st DPORStats) String() string {
 
 // dporNode is one placement in the exploration tree.
 type dporNode struct {
-	yields []int64              // sorted ascending
-	wakes  map[int64]trace.GoID // wakes mode only
+	yields []int64 // sorted ascending
 	depth  int
 }
 
-// maxOp returns the node's last scheduled intervention op.
+// maxOp returns the node's last forced yield op (0 for the root).
 func (n *dporNode) maxOp() int64 {
-	var m int64
-	if len(n.yields) > 0 {
-		m = n.yields[len(n.yields)-1]
+	if len(n.yields) == 0 {
+		return 0
 	}
-	for op := range n.wakes {
-		if op > m {
-			m = op
-		}
-	}
-	return m
+	return n.yields[len(n.yields)-1]
 }
 
-// placementKey is the dedup key of a plain-yield placement.
+// placementKey is the dedup key of a placement.
 func placementKey(yields []int64) string { return fmt.Sprint(yields) }
 
-func (n *dporNode) key() string {
-	if len(n.wakes) == 0 {
-		return placementKey(n.yields)
-	}
-	f := Finding{Yields: n.yields, Wakes: n.wakes}
-	return f.DecisionString()
-}
-
 // candidate is one seeded backtrack point: the yield op and the racing
-// peer that should run instead (used as the wake target in wakes mode).
+// peer that the yield lets run first.
 type candidate struct {
 	op   int64
 	peer trace.GoID
@@ -129,16 +115,6 @@ type candidate struct {
 // fraction of the schedules; the equivalence battery in dpor_test.go is
 // the proof. It returns nil when the budget is spent without a detection.
 func ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORStats) {
-	return exploreDPOR(prog, cfg, false)
-}
-
-// exploreDPOR is ExploreDPOR with an optional switch to targeted
-// backtracking: with wakes set, children are seeded as
-// wake-at-backtrack-point placements (sim.Options.WakeAt) that dispatch
-// the racing peer directly instead of relying on FIFO rotation. The
-// plain-yield space is the one the equivalence battery proves
-// bit-identical to Explore.
-func exploreDPOR(prog func(*sim.G), cfg Config, wakes bool) (*Finding, DPORStats) {
 	st := &DPORStats{}
 	defer func() {
 		if telemetry.Enabled() {
@@ -154,7 +130,7 @@ func exploreDPOR(prog func(*sim.G), cfg Config, wakes bool) (*Finding, DPORStats
 	queued := map[string]bool{}
 	root := &dporNode{yields: []int64{}}
 	work := []*dporNode{root}
-	queued[root.key()] = true
+	queued[placementKey(root.yields)] = true
 	st.Considered++
 
 	var cur *dporNode
@@ -164,12 +140,6 @@ func exploreDPOR(prog func(*sim.G), cfg Config, wakes bool) (*Finding, DPORStats
 		cur, work = work[0], work[1:]
 		opts := baseOptions(cfg.Seed)
 		opts.YieldAt = append([]int64{}, cur.yields...)
-		if len(cur.wakes) > 0 {
-			opts.WakeAt = make(map[int64]trace.GoID, len(cur.wakes))
-			for op, g := range cur.wakes {
-				opts.WakeAt[op] = g
-			}
-		}
 		opts.RecordOps = true
 		return opts
 	}
@@ -184,7 +154,6 @@ func exploreDPOR(prog func(*sim.G), cfg Config, wakes bool) (*Finding, DPORStats
 			finding = &Finding{
 				Seed:      cfg.Seed,
 				Yields:    append([]int64{}, node.yields...),
-				Wakes:     node.wakes,
 				Runs:      st.Runs,
 				Detection: *fb.Detection,
 			}
@@ -199,7 +168,7 @@ func exploreDPOR(prog func(*sim.G), cfg Config, wakes bool) (*Finding, DPORStats
 		} else {
 			footprints[fp] = true
 			if node.depth < cfg.maxYields() {
-				expand(node, fb.Result, cfg, wakes, st, &work, queued)
+				expand(node, fb.Result, cfg, st, &work, queued)
 			}
 		}
 		st.DistinctFootprints = len(footprints)
@@ -207,16 +176,13 @@ func exploreDPOR(prog func(*sim.G), cfg Config, wakes bool) (*Finding, DPORStats
 	}
 
 	_, err := engine.Run(context.Background(), engine.Config{
-		Prog:               prog,
-		Plan:               plan,
-		Runs:               cfg.maxRuns(),
-		Detector:           detect.Goat{},
-		DetectorNeedsTrace: true,
-		NeedTrace:          true,
-		Buffered:           true,
-		Pool:               trace.NewPool(),
-		StopOnFound:        true,
-		OnRun:              onRun,
+		Prog:        prog,
+		Plan:        plan,
+		Runs:        cfg.maxRuns(),
+		Detector:    detect.Goat{},
+		NeedTrace:   true, // the footprint and the racing pairs read the ECT
+		StopOnFound: true,
+		OnRun:       onRun,
 	})
 	if err != nil {
 		// The engine only errors on misconfiguration or a cancelled
@@ -229,8 +195,8 @@ func exploreDPOR(prog func(*sim.G), cfg Config, wakes bool) (*Finding, DPORStats
 
 // expand seeds the node's backtrack points: one child placement per
 // racing window of the node's own run, each extending the placement past
-// its last intervention op.
-func expand(node *dporNode, r *sim.Result, cfg Config, wakes bool, st *DPORStats, work *[]*dporNode, queued map[string]bool) {
+// its last yield.
+func expand(node *dporNode, r *sim.Result, cfg Config, st *DPORStats, work *[]*dporNode, queued map[string]bool) {
 	m := node.maxOp()
 	var cands []candidate
 	if r.Ops >= sim.SliceOpBudget {
@@ -255,18 +221,11 @@ func expand(node *dporNode, r *sim.Result, cfg Config, wakes bool, st *DPORStats
 			return
 		}
 		st.Considered++
-		child := &dporNode{depth: node.depth + 1}
-		if wakes && c.peer != 0 {
-			child.yields = append([]int64{}, node.yields...)
-			child.wakes = make(map[int64]trace.GoID, len(node.wakes)+1)
-			for op, g := range node.wakes {
-				child.wakes[op] = g
-			}
-			child.wakes[c.op] = c.peer
-		} else {
-			child.yields = append(append([]int64{}, node.yields...), c.op)
+		child := &dporNode{
+			yields: append(append([]int64{}, node.yields...), c.op),
+			depth:  node.depth + 1,
 		}
-		key := child.key()
+		key := placementKey(child.yields)
 		if queued[key] {
 			st.SkippedDup++
 			continue

@@ -8,7 +8,6 @@ import (
 	"goat/internal/detect"
 	"goat/internal/goker"
 	"goat/internal/sim"
-	"goat/internal/trace"
 )
 
 // TestExploreDPORMatchesExplore is the equivalence contract of the DPOR
@@ -142,25 +141,6 @@ func TestExploreDPORTerminatesEarly(t *testing.T) {
 	}
 }
 
-func TestExploreDPORWakesMode(t *testing.T) {
-	k, ok := goker.ByID("serving_2137")
-	if !ok {
-		t.Fatal("serving_2137 not registered")
-	}
-	f, st := exploreDPOR(k.Main, Config{Seed: 1, MaxRuns: 400}, true)
-	if f == nil {
-		t.Fatalf("wakes-mode search missed the bug: %s", st)
-	}
-	if len(f.Wakes) == 0 {
-		t.Fatalf("wakes-mode finding carries no wake decisions: %v", f)
-	}
-	// The decision string must replay to the recorded detection.
-	d := (detect.Goat{}).Detect(f.Replay(k.Main))
-	if !d.Found || d.Verdict != f.Detection.Verdict {
-		t.Fatalf("wake finding %q does not replay: %+v", f.DecisionString(), d)
-	}
-}
-
 // TestMinimalYieldsClaim pins the paper's claim that the benchmark's
 // rare bugs fall to fewer than three yields, measured as goatbench -exp
 // yields does: DPOR at seeds 0-4 with MaxRuns 3000, then Minimize, over
@@ -208,12 +188,10 @@ func TestDecisionString(t *testing.T) {
 		{Finding{}, "base"},
 		{Finding{Yields: []int64{4}}, "y4"},
 		{Finding{Yields: []int64{2, 7}}, "y2,y7"},
-		{Finding{Wakes: map[int64]trace.GoID{3: 2}}, "w3:g2"},
-		{Finding{Yields: []int64{5}, Wakes: map[int64]trace.GoID{2: 4}}, "w2:g4,y5"},
 	}
 	for _, c := range cases {
 		if got := c.f.DecisionString(); got != c.want {
-			t.Errorf("DecisionString(%v/%v) = %q, want %q", c.f.Yields, c.f.Wakes, got, c.want)
+			t.Errorf("DecisionString(%v) = %q, want %q", c.f.Yields, got, c.want)
 		}
 	}
 }

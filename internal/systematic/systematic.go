@@ -16,11 +16,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"goat/internal/detect"
 	"goat/internal/sim"
 	"goat/internal/telemetry"
-	"goat/internal/trace"
 )
 
 // Config bounds an exploration.
@@ -70,50 +70,30 @@ type Finding struct {
 	Yields    []int64 // op indices of the forced yields, ascending
 	Runs      int     // executions spent until this configuration
 	Detection detect.Detection
-
-	// Wakes are targeted wake-at-backtrack-point placements (op index →
-	// goroutine dispatched next), set only by the DPOR explorer in wakes
-	// mode. Together with Yields they form the finding's decision string.
-	Wakes map[int64]trace.GoID
 }
 
 // String renders the finding.
 func (f Finding) String() string {
-	if len(f.Wakes) > 0 {
-		return fmt.Sprintf("%s with decisions [%s] (after %d runs, seed %d)",
-			f.Detection.Verdict, f.DecisionString(), f.Runs, f.Seed)
-	}
 	return fmt.Sprintf("%s with %d yield(s) at ops %v (after %d runs, seed %d)",
 		f.Detection.Verdict, len(f.Yields), f.Yields, f.Runs, f.Seed)
 }
 
 // DecisionString renders the placement as a portable decision string:
-// "base" for the empty placement, otherwise comma-joined terms in op
-// order — "y<op>" for a plain forced yield, "w<op>:g<id>" for a targeted
-// wake. The string fully determines the schedule given (prog, seed), so
-// it is the replayable reproducer the DPOR explorer verifies findings
-// with (see Replay).
+// "base" for the empty placement, otherwise the forced yields as
+// comma-joined "y<op>" terms in op order. The string fully determines
+// the schedule given (prog, seed), so it is the replayable reproducer the
+// DPOR explorer verifies findings with (see Replay).
 func (f Finding) DecisionString() string {
-	type term struct {
-		op   int64
-		text string
-	}
-	terms := make([]term, 0, len(f.Yields)+len(f.Wakes))
-	for _, op := range f.Yields {
-		terms = append(terms, term{op, fmt.Sprintf("y%d", op)})
-	}
-	for op, g := range f.Wakes {
-		terms = append(terms, term{op, fmt.Sprintf("w%d:g%d", op, g)})
-	}
-	if len(terms) == 0 {
+	if len(f.Yields) == 0 {
 		return "base"
 	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].op < terms[j].op })
-	out := terms[0].text
-	for _, t := range terms[1:] {
-		out += "," + t.text
+	yields := append([]int64{}, f.Yields...)
+	sort.Slice(yields, func(i, j int) bool { return yields[i] < yields[j] })
+	terms := make([]string, len(yields))
+	for i, op := range yields {
+		terms[i] = fmt.Sprintf("y%d", op)
 	}
-	return out
+	return strings.Join(terms, ",")
 }
 
 // Replay re-executes the finding's exact schedule and returns the
@@ -121,15 +101,7 @@ func (f Finding) DecisionString() string {
 // recorded detection, which is how equivalence gates verify a finding
 // without trusting the explorer that produced it.
 func (f Finding) Replay(prog func(*sim.G)) *sim.Result {
-	opts := baseOptions(f.Seed)
-	opts.YieldAt = append([]int64{}, f.Yields...)
-	if len(f.Wakes) > 0 {
-		opts.WakeAt = make(map[int64]trace.GoID, len(f.Wakes))
-		for op, g := range f.Wakes {
-			opts.WakeAt[op] = g
-		}
-	}
-	return sim.Run(opts, prog)
+	return runWith(prog, f.Seed, f.Yields)
 }
 
 // Explore searches yield placements within the bound for a configuration
