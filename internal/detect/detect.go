@@ -138,8 +138,3 @@ func found(d Detection, verdict, detail string) Detection {
 	d.Detail = detail
 	return d
 }
-
-// All returns the paper's detector lineup in Table IV column order.
-func All() []Detector {
-	return []Detector{Builtin{}, LockDL{}, Goleak{}, Goat{}}
-}

@@ -199,19 +199,3 @@ func TestLockDLCleanProgramQuiet(t *testing.T) {
 		}
 	}
 }
-
-func TestAllLineup(t *testing.T) {
-	tools := All()
-	if len(tools) != 4 {
-		t.Fatalf("lineup = %d tools", len(tools))
-	}
-	names := map[string]bool{}
-	for _, tool := range tools {
-		names[tool.Name()] = true
-	}
-	for _, want := range []string{"builtin", "lockdl", "goleak", "goat"} {
-		if !names[want] {
-			t.Fatalf("missing tool %q", want)
-		}
-	}
-}

@@ -43,7 +43,6 @@ package detect
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"goat/internal/hb"
@@ -607,15 +606,4 @@ func (s *PredictStream) Finish(r *sim.Result) Detection {
 		b.WriteString(c.String())
 	}
 	return found(Detection{Tool: "predict"}, fmt.Sprintf("POTENTIAL-%d", len(cands)), b.String())
-}
-
-// sortCandidates orders candidates by kind then detail — used by tests
-// that compare candidate sets across runs with different interleavings.
-func sortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Kind != cs[j].Kind {
-			return cs[i].Kind < cs[j].Kind
-		}
-		return cs[i].Detail < cs[j].Detail
-	})
 }

@@ -137,8 +137,5 @@ func (j *Journal) Append(seq int, c harness.Cell) error {
 	return nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close closes the journal file.
 func (j *Journal) Close() error { return j.f.Close() }

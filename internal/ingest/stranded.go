@@ -46,26 +46,17 @@ func (s Stranded) Signature() string {
 }
 
 func (s Stranded) String() string {
-	site := fmt.Sprintf("%s:%d", trimPath(s.File), s.Line)
+	site := fmt.Sprintf("%s:%d", trace.TrimPath(s.File), s.Line)
 	created := "pre-existing"
 	if s.CreateFile != "" {
-		created = fmt.Sprintf("created at %s:%d", trimPath(s.CreateFile), s.CreateLine)
+		created = fmt.Sprintf("created at %s:%d", trace.TrimPath(s.CreateFile), s.CreateLine)
 	}
 	return fmt.Sprintf("g%d %s blocked on %s at %s (%s, parked %.0fms, %d wake(s))",
 		s.G, s.Name, s.Reason, site, created, float64(s.BlockedNs)/1e6, s.Wakes)
 }
 
-// trimPath is trace.TrimPath (kept as a local name for the callers
-// above).
-func trimPath(p string) string { return trace.TrimPath(p) }
-
 // StrandedOpts tunes the classifier.
 type StrandedOpts struct {
-	// MinBlockedNs suppresses goroutines parked for less than this at
-	// window end — they may simply not have been scheduled yet. Zero
-	// means no duration filter.
-	MinBlockedNs int64
-
 	// IncludeWorkers reports long-lived-worker-shaped goroutines too
 	// (normally suppressed, see isWorkerShaped).
 	IncludeWorkers bool
@@ -98,9 +89,6 @@ func (r *Run) StrandedGoroutines(opts StrandedOpts) []Stranded {
 		}
 		if gi.Reason == trace.BlockSleep || gi.Reason == trace.BlockNone ||
 			gi.Reason == trace.BlockNet || gi.Reason == trace.BlockSyscall {
-			continue
-		}
-		if opts.MinBlockedNs > 0 && gi.BlockedNs < opts.MinBlockedNs {
 			continue
 		}
 		if !opts.IncludeWorkers && isWorkerShaped(gi) {

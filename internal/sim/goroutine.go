@@ -82,9 +82,6 @@ func (g *G) Sched() *Scheduler { return g.s }
 // State returns the goroutine's current lifecycle state.
 func (g *G) State() State { return g.state }
 
-// BlockedOn returns the block reason while the goroutine is parked.
-func (g *G) BlockedOn() trace.BlockReason { return g.reason }
-
 // callerSite is a resolved program counter: the symbolization result
 // cached by Caller.
 type callerSite struct {

@@ -172,14 +172,6 @@ func QuantileExact(samples []int64, q float64) int64 {
 	return samples[rank-1]
 }
 
-// Mean returns the arithmetic mean of the observed values (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) from the bucket counts:
 // the upper bound of the bucket holding the rank, clamped to the observed
 // [Min, Max] so p100 is exact and estimates never leave the data range.
