@@ -87,10 +87,8 @@ func (f Finding) DecisionString() string {
 	if len(f.Yields) == 0 {
 		return "base"
 	}
-	yields := append([]int64{}, f.Yields...)
-	sort.Slice(yields, func(i, j int) bool { return yields[i] < yields[j] })
-	terms := make([]string, len(yields))
-	for i, op := range yields {
+	terms := make([]string, len(f.Yields))
+	for i, op := range f.Yields {
 		terms[i] = fmt.Sprintf("y%d", op)
 	}
 	return strings.Join(terms, ",")
