@@ -57,11 +57,7 @@ func BenchmarkTable3(b *testing.B) {
 		model := cover.NewModel(nil)
 		for run := 0; run < 2; run++ {
 			r := goker.Run(k, sim.Options{Seed: int64(run), Delays: 2})
-			tree, err := gtree.Build(r.Trace)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := model.AddRun(tree)
+			st := model.AddRun(r.Trace)
 			covered, total = st.Covered, st.Total
 		}
 	}
@@ -323,8 +319,8 @@ func BenchmarkMetricSaturation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			req.AddRun(tree)
-			pairs.AddRun(tree)
+			req.AddRun(r.Trace)
+			pairs.AddRun(r.Trace, tree)
 		}
 		reqUnits, pairUnits = req.Total(), pairs.Distinct()
 	}

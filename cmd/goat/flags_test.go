@@ -12,7 +12,6 @@ type args struct {
 	tool      string
 	minimize  bool
 	traceOut  string
-	htmlOut   string
 	timeline  string
 	faultSpec string
 	predict   bool
@@ -22,7 +21,7 @@ func validate(a args) error {
 	if a.tool == "" {
 		a.tool = "goat"
 	}
-	_, err := validateFlags(a.bug, a.tool, a.minimize, a.traceOut, a.htmlOut, a.timeline, a.faultSpec, a.predict)
+	_, err := validateFlags(a.bug, a.tool, a.minimize, a.traceOut, a.timeline, a.faultSpec, a.predict)
 	return err
 }
 

@@ -26,7 +26,6 @@ import (
 	"goat/internal/engine"
 	"goat/internal/fault"
 	"goat/internal/goker"
-	"goat/internal/gtree"
 	"goat/internal/instrument"
 	"goat/internal/obs"
 	"goat/internal/profile"
@@ -57,7 +56,6 @@ func main() {
 		raceOn    = flag.Bool("race", false, "enable the happens-before data race checker")
 		traceOut  = flag.String("traceout", "", "with -bug: write the detecting run's ECT to this file")
 		minimize  = flag.Bool("minimize", false, "with -bug: DPOR systematic search + minimal yield placement")
-		htmlOut   = flag.String("htmlout", "", "with -bug: write an HTML timeline of the detecting run")
 		timeline  = flag.String("timeline", "", "with -bug: write a Chrome/Perfetto timeline (ECT + campaign phases) of the detecting run")
 		faultSpec = flag.String("faults", "", `with -bug: fault-injection spec, e.g. "stall=2,cancel=1,skew=0.3,slow=2,panic=1"`)
 		predict   = flag.Bool("predict", false, "with -bug: mine one passing execution for predicted blocking hazards")
@@ -77,7 +75,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "goat: observability endpoint on http://%s\n", addr)
 	}
 
-	faults, err := validateFlags(*bug, *tool, *minimize, *traceOut, *htmlOut, *timeline, *faultSpec, *predict)
+	faults, err := validateFlags(*bug, *tool, *minimize, *traceOut, *timeline, *faultSpec, *predict)
 	if err != nil {
 		fatal(err)
 	}
@@ -100,7 +98,7 @@ func main() {
 			fatal(err)
 		}
 	case *bug != "":
-		if err := runBug(ctx, *bug, *tool, *d, *freq, *parallel, *seed, *covFlag, *raceOn, *traceOut, *htmlOut, *timeline, faults); err != nil {
+		if err := runBug(ctx, *bug, *tool, *d, *freq, *parallel, *seed, *covFlag, *raceOn, *traceOut, *timeline, faults); err != nil {
 			fatal(err)
 		}
 	case *path != "":
@@ -120,15 +118,13 @@ func fatal(err error) {
 
 // validateFlags rejects meaningless flag combinations up front with a
 // one-line error instead of silently ignoring them.
-func validateFlags(bug, tool string, minimize bool, traceOut, htmlOut, timeline, faultSpec string, predict bool) (fault.Options, error) {
+func validateFlags(bug, tool string, minimize bool, traceOut, timeline, faultSpec string, predict bool) (fault.Options, error) {
 	if bug == "" {
 		switch {
 		case minimize:
 			return fault.Options{}, fmt.Errorf("-minimize requires -bug")
 		case traceOut != "":
 			return fault.Options{}, fmt.Errorf("-traceout requires -bug")
-		case htmlOut != "":
-			return fault.Options{}, fmt.Errorf("-htmlout requires -bug")
 		case timeline != "":
 			return fault.Options{}, fmt.Errorf("-timeline requires -bug")
 		case faultSpec != "":
@@ -179,7 +175,7 @@ func detectorFor(name string) (detect.Detector, error) {
 	}
 }
 
-func runBug(ctx context.Context, id, tool string, d, freq, parallel int, seed int64, covFlag, raceOn bool, traceOut, htmlOut, timeline string, faults fault.Options) error {
+func runBug(ctx context.Context, id, tool string, d, freq, parallel int, seed int64, covFlag, raceOn bool, traceOut, timeline string, faults fault.Options) error {
 	k, ok := goker.ByID(id)
 	if !ok {
 		return fmt.Errorf("unknown bug %q (try -list)", id)
@@ -277,17 +273,6 @@ func runBug(ctx context.Context, id, tool string, d, freq, parallel int, seed in
 				return exportErr
 			}
 			fmt.Printf("Chrome timeline written to %s (load in ui.perfetto.dev)\n", timeline)
-		}
-		if htmlOut != "" && r.Trace != nil {
-			tree, err := gtree.Build(r.Trace)
-			if err != nil {
-				return err
-			}
-			page := report.HTMLTimeline(tree, fmt.Sprintf("%s — %s (seed %d, D=%d)", k.ID, det2.Verdict, r.Seed, d))
-			if err := os.WriteFile(htmlOut, []byte(page), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("HTML timeline written to %s\n", htmlOut)
 		}
 		return nil
 	}

@@ -12,7 +12,6 @@ import (
 
 	"goat/internal/cover"
 	"goat/internal/goker"
-	"goat/internal/gtree"
 	"goat/internal/report"
 	"goat/internal/sim"
 )
@@ -29,11 +28,7 @@ func main() {
 		model := cover.NewModel(nil)
 		for i := 0; i < iters; i++ {
 			r := goker.Run(k, sim.Options{Seed: int64(i), Delays: d})
-			tree, err := gtree.Build(r.Trace)
-			if err != nil {
-				panic(err)
-			}
-			st := model.AddRun(tree)
+			st := model.AddRun(r.Trace)
 			if i%8 == 0 || i == iters-1 {
 				bar := strings.Repeat("█", int(st.Percent/4))
 				fmt.Printf("iter %3d: %5.1f%% (%d/%d) %s\n", st.Run, st.Percent, st.Covered, st.Total, bar)

@@ -6,18 +6,13 @@ import (
 
 	"goat/internal/conc"
 	"goat/internal/cu"
-	"goat/internal/gtree"
 	"goat/internal/sim"
+	"goat/internal/trace"
 )
 
-func treeOf(t *testing.T, seed int64, delays int, fn func(*sim.G)) *gtree.Tree {
+func traceOf(t *testing.T, seed int64, delays int, fn func(*sim.G)) *trace.Trace {
 	t.Helper()
-	r := sim.Run(sim.Options{Seed: seed, Delays: delays, PreemptProb: -1}, fn)
-	tree, err := gtree.Build(r.Trace)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	return tree
+	return sim.Run(sim.Options{Seed: seed, Delays: delays, PreemptProb: -1}, fn).Trace
 }
 
 func TestStaticUniverseSeeded(t *testing.T) {
@@ -60,7 +55,7 @@ func TestChannelAspectsCovered(t *testing.T) {
 	m := NewModel(nil)
 	// Run 1: rendezvous where the sender parks (send-blocked +
 	// recv-unblocking).
-	m.AddRun(treeOf(t, 0, 0, func(g *sim.G) {
+	m.AddRun(traceOf(t, 0, 0, func(g *sim.G) {
 		ch := conc.NewChan[int](g, 0)
 		g.Go("tx", func(c *sim.G) { ch.Send(c, 1) })
 		g.Yield() // sender parks first
@@ -93,7 +88,7 @@ func TestChannelAspectsCovered(t *testing.T) {
 
 func TestBufferedSendIsNOP(t *testing.T) {
 	m := NewModel(nil)
-	m.AddRun(treeOf(t, 0, 0, func(g *sim.G) {
+	m.AddRun(traceOf(t, 0, 0, func(g *sim.G) {
 		ch := conc.NewChan[int](g, 1)
 		ch.Send(g, 1)
 		ch.Recv(g)
@@ -111,7 +106,7 @@ func TestBufferedSendIsNOP(t *testing.T) {
 
 func TestLockBlockingAspectFromContention(t *testing.T) {
 	m := NewModel(nil)
-	m.AddRun(treeOf(t, 0, 0, func(g *sim.G) {
+	m.AddRun(traceOf(t, 0, 0, func(g *sim.G) {
 		mu := conc.NewMutex(g)
 		mu.Lock(g)
 		g.Go("contender", func(c *sim.G) {
@@ -141,7 +136,7 @@ func TestLockBlockingAspectFromContention(t *testing.T) {
 
 func TestSelectCaseRequirementsDiscovered(t *testing.T) {
 	m := NewModel(nil)
-	m.AddRun(treeOf(t, 0, 0, func(g *sim.G) {
+	m.AddRun(traceOf(t, 0, 0, func(g *sim.G) {
 		a := conc.NewChan[int](g, 1)
 		a.Send(g, 1)
 		conc.Select(g, []conc.Case{conc.CaseRecv(a)}, false)
@@ -167,7 +162,7 @@ func TestSelectCaseRequirementsDiscovered(t *testing.T) {
 
 func TestSelectDefaultCovered(t *testing.T) {
 	m := NewModel(nil)
-	m.AddRun(treeOf(t, 0, 0, func(g *sim.G) {
+	m.AddRun(traceOf(t, 0, 0, func(g *sim.G) {
 		a := conc.NewChan[int](g, 0)
 		conc.Select(g, []conc.Case{conc.CaseRecv(a)}, true) // default fires
 	}))
@@ -185,7 +180,7 @@ func TestSelectDefaultCovered(t *testing.T) {
 func TestGoRequirementCovered(t *testing.T) {
 	static := cu.NewModel([]cu.CU{{File: "cover_test.go", Line: 9999, Kind: cu.KindGo}})
 	m := NewModel(static)
-	m.AddRun(treeOf(t, 0, 0, func(g *sim.G) {
+	m.AddRun(traceOf(t, 0, 0, func(g *sim.G) {
 		g.Go("w", func(*sim.G) {})
 		g.Yield()
 	}))
@@ -219,14 +214,14 @@ func TestCoverageAccumulatesAcrossRuns(t *testing.T) {
 		g.Yield()
 	}
 	m := NewModel(nil)
-	s1 := m.AddRun(treeOf(t, 1, 0, prog))
+	s1 := m.AddRun(traceOf(t, 1, 0, prog))
 	if s1.Covered == 0 {
 		t.Fatal("run 1 covered nothing")
 	}
 	covAfter1 := m.CoveredCount()
 	// More runs with different schedules can only grow the covered set.
 	for seed := int64(2); seed < 12; seed++ {
-		m.AddRun(treeOf(t, seed, 2, prog))
+		m.AddRun(traceOf(t, seed, 2, prog))
 	}
 	if m.CoveredCount() < covAfter1 {
 		t.Fatalf("covered shrank: %d -> %d", covAfter1, m.CoveredCount())
@@ -258,11 +253,7 @@ func TestPerturbationImprovesCoverage(t *testing.T) {
 		m := NewModel(nil)
 		for seed := int64(0); seed < 25; seed++ {
 			r := sim.Run(sim.Options{Seed: seed, Delays: delays}, prog)
-			tree, err := gtree.Build(r.Trace)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.AddRun(tree)
+			m.AddRun(r.Trace)
 		}
 		return m.Percent()
 	}
@@ -274,7 +265,7 @@ func TestPerturbationImprovesCoverage(t *testing.T) {
 
 func TestRunStatsConsistent(t *testing.T) {
 	m := NewModel(nil)
-	st := m.AddRun(treeOf(t, 3, 0, func(g *sim.G) {
+	st := m.AddRun(traceOf(t, 3, 0, func(g *sim.G) {
 		ch := conc.NewChan[int](g, 1)
 		ch.Send(g, 1)
 		ch.Recv(g)
@@ -330,7 +321,7 @@ func TestFirstCoveredRunTracking(t *testing.T) {
 		ch.Send(g, 1)
 		ch.Recv(g)
 	}
-	m.AddRun(treeOf(t, 0, 0, prog))
+	m.AddRun(traceOf(t, 0, 0, prog))
 	covered := m.Covered()
 	if len(covered) == 0 {
 		t.Fatal("nothing covered")
@@ -348,7 +339,7 @@ func TestFirstCoveredRunTracking(t *testing.T) {
 		t.Fatal("phantom coverage in run 2")
 	}
 	// A second identical run covers nothing new.
-	m.AddRun(treeOf(t, 0, 0, prog))
+	m.AddRun(traceOf(t, 0, 0, prog))
 	if len(m.CoveredByRun(2)) != 0 {
 		t.Fatal("identical run 2 claimed new coverage")
 	}

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"goat/internal/cu"
-	"goat/internal/gtree"
 	"goat/internal/trace"
 )
 
@@ -235,24 +234,13 @@ type RunStats struct {
 	NewCovered int     // requirements newly covered by this run
 }
 
-// AddRun folds one execution's goroutine tree into the model and returns
-// the post-run statistics. Only application-level goroutines contribute.
-// It is the post-hoc entry point: the tree's events are replayed in
-// timestamp order — the live emit order — through the streaming RunSink,
-// which campaigns attach directly to the run instead.
-func (m *Model) AddRun(t *gtree.Tree) RunStats {
-	// Global event order matters for lock-contention attribution: flatten
-	// the app nodes' events and sort by timestamp.
-	var events []trace.Event
-	for _, n := range t.AppNodes() {
-		events = append(events, n.Events...)
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
-
+// AddRun folds one execution's ECT into the model and returns the
+// post-run statistics. Only application-level goroutines contribute. It
+// is the post-hoc entry point: the trace is replayed through the
+// streaming RunSink, which campaigns attach directly to the run instead.
+func (m *Model) AddRun(tr *trace.Trace) RunStats {
 	s := m.StreamRun()
-	for _, e := range events {
-		s.Event(e)
-	}
+	_ = tr.Replay(s) // a buffered trace's Replay cannot fail
 	return s.Finish()
 }
 

@@ -7,19 +7,17 @@ import (
 	"goat/internal/trace"
 )
 
-// RunSink is the online form of coverage accumulation: a trace.Sink that
-// folds one execution's events into the Model as the virtual runtime
-// emits them, without the run ever buffering a trace or building a
-// goroutine tree. Because logical timestamps are strictly increasing,
-// the live event order is exactly the Ts order the post-hoc AddRun sorts
-// into, so the two paths mark the same requirements in the same order.
+// RunSink is the coverage fold: a trace.Sink that folds one execution's
+// events into the Model as the virtual runtime emits them, without the
+// run ever buffering a trace or building a goroutine tree. The post-hoc
+// AddRun replays a buffered trace through the same sink.
 //
 // The sink tracks application-level goroutines incrementally: a child
 // spawned by a registered goroutine (with a non-system GoCreate) is
 // registered under the parent's key extended by the creation site —
 // the same equivalence key gtree assigns. Events by unregistered
-// goroutines (system goroutines and their descendants) are ignored,
-// mirroring AddRun's restriction to the tree's application nodes.
+// goroutines (system goroutines and their descendants) are ignored, so
+// only the tree's application nodes contribute.
 type RunSink struct {
 	m      *Model
 	before int // covered count when the run started
@@ -65,7 +63,7 @@ func (s *RunSink) Event(e trace.Event) {
 	node, ok := s.nodeOf[e.G]
 	if !ok {
 		if s.windowed && e.Type == trace.EvGoStart && e.Aux != 1 {
-			// Orphan adoption, key-compatible with gtree.Builder.
+			// Orphan adoption, key-compatible with gtree.Build.
 			s.nodeOf[e.G] = fmt.Sprintf("orphan/%s@%s:%d", e.Str, e.File, e.Line)
 		}
 		return // system goroutine (or descendant): not an application node
@@ -131,7 +129,7 @@ func (s *RunSink) Event(e trace.Event) {
 // Close implements trace.Sink.
 func (s *RunSink) Close() {}
 
-// Finish returns the post-run statistics, exactly as AddRun would.
+// Finish returns the post-run statistics.
 func (s *RunSink) Finish() RunStats {
 	covered := s.m.CoveredCount()
 	return RunStats{

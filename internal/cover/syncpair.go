@@ -66,23 +66,24 @@ func (m *PairModel) Pairs() []SyncPair {
 	return out
 }
 
-// AddRun folds one execution into the model and returns how many pairs
-// the run newly discovered.
-func (m *PairModel) AddRun(t *gtree.Tree) int {
+// AddRun folds one execution's ECT tr, whose goroutine tree is t, into
+// the model and returns how many pairs the run newly discovered.
+func (m *PairModel) AddRun(tr *trace.Trace, t *gtree.Tree) int {
 	m.runs++
-	// Flatten app events in global order; track each goroutine's pending
-	// block site, and match it when an unblocking event names it as peer.
-	var events []trace.Event
+	// Walk the application goroutines' events in trace order; track each
+	// goroutine's pending block site, and match it when an unblocking
+	// event names it as peer.
 	appIDs := map[trace.GoID]bool{}
 	for _, n := range t.AppNodes() {
 		appIDs[n.ID] = true
-		events = append(events, n.Events...)
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
 
 	blockSite := map[trace.GoID]string{}
 	before := len(m.pairs)
-	for _, e := range events {
+	for _, e := range tr.Events {
+		if !appIDs[e.G] {
+			continue
+		}
 		switch e.Type {
 		case trace.EvGoBlock:
 			blockSite[e.G] = fmt.Sprintf("%s:%d", e.File, e.Line)

@@ -8,17 +8,29 @@ import (
 	"goat/internal/goker"
 	"goat/internal/gtree"
 	"goat/internal/sim"
+	"goat/internal/trace"
 )
+
+// withTree pairs a trace with its goroutine tree, the two inputs of
+// PairModel.AddRun.
+func withTree(t *testing.T, tr *trace.Trace) (*trace.Trace, *gtree.Tree) {
+	t.Helper()
+	tree, err := gtree.Build(tr)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return tr, tree
+}
 
 func TestPairModelObservesHandoff(t *testing.T) {
 	m := NewPairModel()
-	newFound := m.AddRun(treeOf(t, 0, 0, func(g *sim.G) {
+	newFound := m.AddRun(withTree(t, traceOf(t, 0, 0, func(g *sim.G) {
 		ch := conc.NewChan[int](g, 0)
 		g.Go("tx", func(c *sim.G) { ch.Send(c, 1) })
 		g.Yield()  // sender parks
 		ch.Recv(g) // recv unblocks the parked send: one pair
 		g.Yield()
-	}))
+	})))
 	if newFound != 1 || m.Distinct() != 1 {
 		t.Fatalf("pairs = %d (new %d), want 1", m.Distinct(), newFound)
 	}
@@ -33,11 +45,11 @@ func TestPairModelObservesHandoff(t *testing.T) {
 
 func TestPairModelNoPairsWithoutBlocking(t *testing.T) {
 	m := NewPairModel()
-	m.AddRun(treeOf(t, 0, 0, func(g *sim.G) {
+	m.AddRun(withTree(t, traceOf(t, 0, 0, func(g *sim.G) {
 		ch := conc.NewChan[int](g, 1)
 		ch.Send(g, 1) // buffered: nobody blocks, nobody unblocks
 		ch.Recv(g)
-	}))
+	})))
 	if m.Distinct() != 0 {
 		t.Fatalf("pairs = %v", m.Pairs())
 	}
@@ -45,7 +57,7 @@ func TestPairModelNoPairsWithoutBlocking(t *testing.T) {
 
 func TestPairModelMutexHandoff(t *testing.T) {
 	m := NewPairModel()
-	m.AddRun(treeOf(t, 0, 0, func(g *sim.G) {
+	m.AddRun(withTree(t, traceOf(t, 0, 0, func(g *sim.G) {
 		mu := conc.NewMutex(g)
 		mu.Lock(g)
 		g.Go("contender", func(c *sim.G) {
@@ -55,7 +67,7 @@ func TestPairModelMutexHandoff(t *testing.T) {
 		g.Yield()    // contender parks on mu
 		mu.Unlock(g) // unlock hands off: pair (unlock -> lock)
 		g.Yield()
-	}))
+	})))
 	if m.Distinct() != 1 {
 		t.Fatalf("pairs = %v", m.Pairs())
 	}
@@ -73,7 +85,7 @@ func TestPairDiscoveryCurveMonotonic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.AddRun(tree)
+		m.AddRun(r.Trace, tree)
 	}
 	curve := m.Curve()
 	if len(curve) != 30 || m.Runs() != 30 {
@@ -103,10 +115,10 @@ func TestPairMetricSaturatesEarlierThanReqMetric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pair.AddRun(tree) > 0 {
+		if pair.AddRun(r.Trace, tree) > 0 {
 			pairSat = int(seed) + 1
 		}
-		if st := req.AddRun(tree); st.NewCovered > 0 {
+		if st := req.AddRun(r.Trace); st.NewCovered > 0 {
 			reqSat = int(seed) + 1
 		}
 	}

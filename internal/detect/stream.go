@@ -133,7 +133,7 @@ func (d *GoatStream) Event(e trace.Event) {
 	g, ok := d.gs[e.G]
 	if !ok {
 		if d.windowed && e.Type == trace.EvGoStart {
-			// Orphan adoption, mirroring gtree.Builder: a goroutine that
+			// Orphan adoption, mirroring gtree.Build: a goroutine that
 			// pre-existed the window introduces itself (Aux=1 marks
 			// runtime-internal provenance).
 			g = goatG{app: e.Aux != 1}

@@ -6,7 +6,6 @@ import (
 
 	"goat/internal/cover"
 	"goat/internal/detect"
-	"goat/internal/gtree"
 	"goat/internal/sim"
 	"goat/internal/trace"
 )
@@ -41,11 +40,7 @@ func TestStreamingEquivalence(t *testing.T) {
 			goatRef := detect.Goat{}.Detect(ref)
 			lockRef := detect.LockDL{}.Detect(ref)
 			refModel := cover.NewModel(nil)
-			tree, err := gtree.Build(ref.Trace)
-			if err != nil {
-				t.Fatalf("gtree.Build: %v", err)
-			}
-			statsRef := refModel.AddRun(tree)
+			statsRef := refModel.AddRun(ref.Trace)
 
 			// Streaming run: same options, online detectors and coverage as
 			// sinks, plus a *Trace sink that must collect the same ECT.

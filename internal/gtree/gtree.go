@@ -2,10 +2,10 @@
 // trace and runs the paper's deadlock-detection procedure over it.
 //
 // Nodes are goroutines; a directed edge parent→child means the child was
-// created by a go statement the parent executed. Each node carries the full
-// event sequence the goroutine executed, its creation site, and its final
-// event — the inputs of Procedure 1 (DeadlockCheck) and of the coverage
-// measurement.
+// created by a go statement the parent executed. The tree indexes the ECT
+// rather than copying it: each node carries its creation site, its final
+// event and its event count — the inputs of Procedure 1 (DeadlockCheck).
+// Consumers that need a goroutine's events walk the trace in order.
 package gtree
 
 import (
@@ -22,8 +22,7 @@ type Node struct {
 	Name       string
 	Parent     *Node // nil for the main goroutine and for orphans
 	Children   []*Node
-	Events     []trace.Event // the goroutine's own events, in order
-	CreateFile string        // CU of the go statement that spawned it
+	CreateFile string // CU of the go statement that spawned it
 	CreateLine int
 	System     bool // runtime-internal (timer/watchdog) goroutine
 
@@ -33,16 +32,13 @@ type Node struct {
 	// trace.CapCreateObserved).
 	Orphan bool
 
-	key string // equivalence key, memoized at build time
+	key    string      // equivalence key, memoized at build time
+	last   trace.Event // final executed event
+	events int         // events the goroutine executed
 }
 
 // LastEvent returns the node's final executed event (zero Event if none).
-func (n *Node) LastEvent() trace.Event {
-	if len(n.Events) == 0 {
-		return trace.Event{}
-	}
-	return n.Events[len(n.Events)-1]
-}
+func (n *Node) LastEvent() trace.Event { return n.last }
 
 // Ended reports whether the goroutine reached its end state.
 func (n *Node) Ended() bool { return n.LastEvent().Type == trace.EvGoEnd }
@@ -79,63 +75,26 @@ type Tree struct {
 	Windowed bool
 }
 
-// Build constructs the goroutine tree from an ECT. The main goroutine is
-// GoID 1 and becomes the root. It is the post-hoc entry point: the
-// buffered trace is replayed through the streaming Builder, which learns
-// the trace's producer (window traces may adopt orphan goroutines).
+// Build constructs the goroutine tree from an ECT in one pass over its
+// events. The main goroutine is GoID 1 and becomes the root. Under a
+// producer without trace.CapCreateObserved (a window trace) a goroutine
+// introduced by its own GoStart becomes an orphan root instead of an
+// error (Aux=1 marks runtime-internal provenance, Str carries the root
+// function name — the conventions the native ingester synthesizes).
 func Build(tr *trace.Trace) (*Tree, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, trace.ErrEmpty
 	}
-	b := NewBuilder()
-	if err := tr.Replay(b); err != nil {
-		return nil, err
-	}
-	return b.Tree()
-}
-
-// Builder constructs the goroutine tree online, one event at a time — a
-// trace.Sink that can be attached directly to an execution so the tree
-// exists the moment the run ends, without buffering the ECT. A stream
-// replayed from a buffered trace and a stream observed live produce
-// identical trees.
-type Builder struct {
-	t        *Tree
-	events   int
-	err      error
-	windowed bool
-}
-
-// NewBuilder returns a builder holding the implicit main-goroutine root.
-func NewBuilder() *Builder {
+	src := tr.SourceInfo()
+	windowed := !src.Has(trace.CapCreateObserved)
 	root := &Node{ID: 1, Name: "main", key: "main"}
-	return &Builder{t: &Tree{Root: root, Nodes: map[trace.GoID]*Node{1: root}}}
-}
-
-// SetSource implements trace.SourceAware: producers without full
-// goroutine provenance (window traces) relax the unknown-goroutine
-// error into orphan adoption. The default — never learning a source —
-// keeps the strict virtual-runtime contract.
-func (b *Builder) SetSource(src trace.SourceInfo) {
-	b.windowed = !src.Has(trace.CapCreateObserved)
-	b.t.Windowed = !src.Has(trace.CapCompleteRun)
-}
-
-// Event implements trace.Sink: it folds one event into the tree. After a
-// malformed event (by an unknown goroutine) the builder latches the error
-// and ignores the rest of the stream, mirroring where Build stops. Under
-// a window source, a goroutine introduced by its own GoStart becomes an
-// orphan root instead of an error (Aux=1 marks runtime-internal
-// provenance, Str carries the root function name — the conventions the
-// native ingester synthesizes).
-func (b *Builder) Event(e trace.Event) {
-	if b.err != nil {
-		return
-	}
-	b.events++
-	n, ok := b.t.Nodes[e.G]
-	if !ok {
-		if b.windowed && e.Type == trace.EvGoStart {
+	t := &Tree{Root: root, Nodes: map[trace.GoID]*Node{1: root}, Windowed: !src.Has(trace.CapCompleteRun)}
+	for _, e := range tr.Events {
+		n, ok := t.Nodes[e.G]
+		if !ok {
+			if !windowed || e.Type != trace.EvGoStart {
+				return nil, fmt.Errorf("gtree: event by unknown goroutine g%d at ts %d", e.G, e.Ts)
+			}
 			n = &Node{
 				ID:         e.G,
 				Name:       e.Str,
@@ -143,44 +102,28 @@ func (b *Builder) Event(e trace.Event) {
 				CreateLine: e.Line,
 				System:     e.Aux == 1,
 				Orphan:     true,
+				key:        fmt.Sprintf("orphan/%s@%s:%d", e.Str, e.File, e.Line),
 			}
-			n.key = fmt.Sprintf("orphan/%s@%s:%d", e.Str, e.File, e.Line)
-			b.t.Orphans = append(b.t.Orphans, n)
-			b.t.Nodes[e.G] = n
-		} else {
-			b.err = fmt.Errorf("gtree: event by unknown goroutine g%d at ts %d", e.G, e.Ts)
-			return
+			t.Orphans = append(t.Orphans, n)
+			t.Nodes[e.G] = n
+		}
+		n.last = e
+		n.events++
+		if e.Type == trace.EvGoCreate {
+			child := &Node{
+				ID:         e.Peer,
+				Name:       e.Str,
+				Parent:     n,
+				CreateFile: e.File,
+				CreateLine: e.Line,
+				System:     e.Aux == 1,
+				key:        fmt.Sprintf("%s/%s:%d", n.key, e.File, e.Line),
+			}
+			n.Children = append(n.Children, child)
+			t.Nodes[e.Peer] = child
 		}
 	}
-	n.Events = append(n.Events, e)
-	if e.Type == trace.EvGoCreate {
-		child := &Node{
-			ID:         e.Peer,
-			Name:       e.Str,
-			Parent:     n,
-			CreateFile: e.File,
-			CreateLine: e.Line,
-			System:     e.Aux == 1,
-		}
-		child.key = fmt.Sprintf("%s/%s:%d", n.key, e.File, e.Line)
-		n.Children = append(n.Children, child)
-		b.t.Nodes[e.Peer] = child
-	}
-}
-
-// Close implements trace.Sink.
-func (b *Builder) Close() {}
-
-// Tree finalizes the build. It errors on a malformed stream and on an
-// empty one (trace.ErrEmpty), exactly like Build.
-func (b *Builder) Tree() (*Tree, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if b.events == 0 {
-		return nil, trace.ErrEmpty
-	}
-	return b.t, nil
+	return t, nil
 }
 
 // Roots returns the tree's entry points: the main root followed by any
@@ -301,7 +244,7 @@ func (t *Tree) String() string {
 			}
 		}
 		fmt.Fprintf(&b, "%sg%d %s (created %s:%d, %d events)%s\n",
-			strings.Repeat("  ", depth), n.ID, n.Name, n.CreateFile, n.CreateLine, len(n.Events), tag)
+			strings.Repeat("  ", depth), n.ID, n.Name, n.CreateFile, n.CreateLine, n.events, tag)
 		children := append([]*Node{}, n.Children...)
 		sort.Slice(children, func(i, j int) bool { return children[i].ID < children[j].ID })
 		for _, c := range children {

@@ -17,7 +17,6 @@ import (
 	"goat/internal/cover"
 	"goat/internal/detect"
 	"goat/internal/goker"
-	"goat/internal/gtree"
 	"goat/internal/harness"
 	"goat/internal/report"
 	"goat/internal/sim"
@@ -122,11 +121,7 @@ func goldenTable3(t *testing.T) string {
 	model := cover.NewModel(nil)
 	for seed := int64(1); seed <= 2; seed++ {
 		r := goker.Run(k, sim.Options{Seed: seed, Delays: 2})
-		tree, err := gtree.Build(r.Trace)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		model.AddRun(tree)
+		model.AddRun(r.Trace)
 	}
 	return report.Table3(model)
 }

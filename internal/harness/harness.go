@@ -25,7 +25,6 @@ import (
 	"goat/internal/engine"
 	"goat/internal/fault"
 	"goat/internal/goker"
-	"goat/internal/gtree"
 	"goat/internal/sim"
 	"goat/internal/telemetry"
 	"goat/internal/trace"
@@ -641,9 +640,8 @@ type Figure6Point struct {
 
 // RunFigure6 reproduces Fig. 6: the coverage-percentage growth over
 // testing iterations for one kernel at each delay bound in ds. An
-// iteration whose run or tree construction fails is quarantined: the
-// series carries the last good percentage forward instead of aborting
-// the whole campaign.
+// iteration whose run panics is quarantined: the series carries the last
+// good percentage forward instead of aborting the whole campaign.
 func RunFigure6(bugID string, iters int, ds []int, baseSeed int64) (map[int][]Figure6Point, error) {
 	k, ok := goker.ByID(bugID)
 	if !ok {
@@ -674,10 +672,5 @@ func figure6Iter(k goker.Kernel, model *cover.Model, seed int64, d int) (pct flo
 		}
 	}()
 	r := goker.Run(k, sim.Options{Seed: seed, Delays: d})
-	tree, err := gtree.Build(r.Trace)
-	if err != nil {
-		return 0, false
-	}
-	st := model.AddRun(tree)
-	return st.Percent, true
+	return model.AddRun(r.Trace).Percent, true
 }

@@ -13,7 +13,6 @@ import (
 	"goat/internal/cover"
 	"goat/internal/detect"
 	"goat/internal/goker"
-	"goat/internal/gtree"
 	"goat/internal/harness"
 	"goat/internal/report"
 	"goat/internal/sim"
@@ -195,20 +194,12 @@ func TestTimeoutRunDoesNotCorruptCoverageTree(t *testing.T) {
 	}
 
 	model := cover.NewModel(nil)
-	toTree, err := gtree.Build(r.Trace)
-	if err != nil {
-		t.Fatalf("building tree of timed-out run: %v", err)
-	}
-	model.AddRun(toTree)
+	model.AddRun(r.Trace)
 
 	// A healthy kernel folded in afterwards must keep the model sane.
 	k, _ := goker.ByID("moby_28462")
 	r2 := goker.Run(k, sim.Options{Seed: 2, Delays: 2})
-	okTree, err := gtree.Build(r2.Trace)
-	if err != nil {
-		t.Fatalf("building tree of healthy run: %v", err)
-	}
-	st := model.AddRun(okTree)
+	st := model.AddRun(r2.Trace)
 	if model.Runs() != 2 {
 		t.Fatalf("model runs = %d, want 2", model.Runs())
 	}

@@ -9,7 +9,6 @@ import (
 	"goat/internal/cover"
 	"goat/internal/engine"
 	"goat/internal/goker"
-	"goat/internal/gtree"
 	"goat/internal/harness"
 	"goat/internal/sim"
 )
@@ -224,9 +223,7 @@ func examine(p *Prog, tools []harness.Spec, baseSeed int64, sweep int, runs *int
 				return true, nil
 			}
 			if model != nil && r.Trace != nil {
-				if tree, err := gtree.Build(r.Trace); err == nil {
-					model.AddRun(tree)
-				}
+				model.AddRun(r.Trace)
 			}
 			for _, spec := range tools {
 				if spec.Delays != d {

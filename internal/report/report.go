@@ -18,45 +18,33 @@ import (
 	"goat/internal/trace"
 )
 
-// Interleaving renders the executed schedule as one column per
-// application goroutine, one row per event — the visualization GoAT
-// attaches to bug reports. Only concurrency events are shown; lifecycle
-// noise is elided. Wide programs are truncated to maxCols goroutines.
-func Interleaving(t *gtree.Tree, maxCols int) string {
+// Interleaving renders the executed schedule of tr as one column per
+// application goroutine of its tree t, one row per event — the
+// visualization GoAT attaches to bug reports. Only concurrency events
+// are shown; lifecycle noise is elided. Wide programs are truncated to
+// maxCols goroutines.
+func Interleaving(tr *trace.Trace, t *gtree.Tree, maxCols int) string {
 	nodes := t.AppNodes()
 	if maxCols > 0 && len(nodes) > maxCols {
 		nodes = nodes[:maxCols]
 	}
-	colOf := map[trace.GoID]int{}
-	var header []string
-	for i, n := range nodes {
-		colOf[n.ID] = i
-		header = append(header, fmt.Sprintf("g%d %s", n.ID, n.Name))
-	}
-	var events []trace.Event
-	for _, n := range nodes {
-		for _, e := range n.Events {
-			if keepInInterleaving(e.Type) {
-				events = append(events, e)
-			}
-		}
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
-
 	const colWidth = 26
 	var b strings.Builder
-	for i, h := range header {
-		_ = i
-		fmt.Fprintf(&b, "%-*s", colWidth, h)
+	colOf := map[trace.GoID]int{}
+	for i, n := range nodes {
+		colOf[n.ID] = i
+		fmt.Fprintf(&b, "%-*s", colWidth, fmt.Sprintf("g%d %s", n.ID, n.Name))
 	}
 	b.WriteString("\n")
-	b.WriteString(strings.Repeat("-", colWidth*len(header)))
+	b.WriteString(strings.Repeat("-", colWidth*len(nodes)))
 	b.WriteString("\n")
-	for _, e := range events {
-		col := colOf[e.G]
-		label := eventLabel(e)
+	for _, e := range tr.Events {
+		col, ok := colOf[e.G]
+		if !ok || !keepInInterleaving(e.Type) {
+			continue
+		}
 		b.WriteString(strings.Repeat(" ", colWidth*col))
-		fmt.Fprintf(&b, "%-*s\n", colWidth, label)
+		fmt.Fprintf(&b, "%-*s\n", colWidth, eventLabel(e))
 	}
 	return b.String()
 }
@@ -244,7 +232,7 @@ func Detection(r *sim.Result, d detect.Detection) string {
 			b.WriteString("\ngoroutine tree:\n")
 			b.WriteString(tree.String())
 			b.WriteString("\nexecuted interleaving (concurrency events):\n")
-			b.WriteString(Interleaving(tree, 6))
+			b.WriteString(Interleaving(r.Trace, tree, 6))
 		}
 	}
 	return b.String()

@@ -31,8 +31,8 @@ func leakRun(t *testing.T) (*sim.Result, *gtree.Tree) {
 }
 
 func TestInterleavingColumns(t *testing.T) {
-	_, tree := leakRun(t)
-	s := Interleaving(tree, 6)
+	r, tree := leakRun(t)
+	s := Interleaving(r.Trace, tree, 6)
 	if !strings.Contains(s, "g1 main") || !strings.Contains(s, "collector") {
 		t.Fatalf("interleaving header wrong:\n%s", s)
 	}
@@ -64,7 +64,7 @@ func TestInterleavingTruncatesColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Interleaving(tree, 3)
+	s := Interleaving(r.Trace, tree, 3)
 	header := strings.SplitN(s, "\n", 2)[0]
 	if strings.Count(header, "g") > 3 {
 		t.Fatalf("maxCols not honored: %q", header)
@@ -96,9 +96,9 @@ func TestDOTDashedSystemNodes(t *testing.T) {
 }
 
 func TestCoverageTable(t *testing.T) {
-	_, tree := leakRun(t)
+	r, _ := leakRun(t)
 	m := cover.NewModel(nil)
-	m.AddRun(tree)
+	m.AddRun(r.Trace)
 	s := CoverageTable(nil, m)
 	for _, want := range []string{"CU", "overall coverage", "%"} {
 		if !strings.Contains(s, want) {
@@ -135,11 +135,7 @@ func TestTable3PerRunColumns(t *testing.T) {
 	m := cover.NewModel(nil)
 	for run := 0; run < 2; run++ {
 		r := goker.Run(k, sim.Options{Seed: int64(run), Delays: 2})
-		tree, err := gtree.Build(r.Trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.AddRun(tree)
+		m.AddRun(r.Trace)
 	}
 	s := Table3(m)
 	for _, want := range []string{"run#1", "run#2", "overall", "moby.go", "overall coverage"} {
@@ -150,23 +146,5 @@ func TestTable3PerRunColumns(t *testing.T) {
 	// A covered requirement must carry at least one Y mark.
 	if !strings.Contains(s, "Y") {
 		t.Fatalf("no coverage marks rendered:\n%s", s)
-	}
-}
-
-func TestHTMLTimeline(t *testing.T) {
-	_, tree := leakRun(t)
-	s := HTMLTimeline(tree, "moby_33293 leak")
-	for _, want := range []string{"<!DOCTYPE html>", "<svg", "g1 main", "collector", "#d62728", "</html>"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("HTML timeline missing %q", want)
-		}
-	}
-	// The leaked goroutine's lane label is flagged.
-	if !strings.Contains(s, "✗") {
-		t.Fatal("leaked goroutine not flagged in lane label")
-	}
-	// Tooltips carry CU locations.
-	if !strings.Contains(s, "moby.go") {
-		t.Fatal("tooltips missing CU attribution")
 	}
 }
