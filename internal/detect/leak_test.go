@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"goat/internal/ingest"
+	"goat/internal/sim"
 	"goat/internal/trace"
 )
 
@@ -225,7 +226,7 @@ func TestLeakParityWithIngest(t *testing.T) {
 				}
 			}
 
-			det := s.Finish(run.Result())
+			det := s.Finish(&sim.Result{Trace: run.Trace})
 			if det.Verdict != fx.verdict {
 				t.Errorf("verdict = %q, want %q (detail: %s)", det.Verdict, fx.verdict, det.Detail)
 			}

@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 
-	"goat/internal/sim"
 	"goat/internal/trace"
 )
 
@@ -196,32 +195,4 @@ func parse(data []byte) (*Run, error) {
 // execution trace rather than a GOATECT encoding.
 func SniffNative(prefix []byte) bool {
 	return len(prefix) >= 3 && string(prefix[:3]) == "go "
-}
-
-// Result synthesizes the sim.Result shape the detectors consume. The
-// outcome is OK — a window has no settle point to classify — and the
-// detectors' source-aware streams derive their verdicts from the trace
-// itself (GoatStream's blocked-at-window-end census). MainEnded is the
-// only outcome field a window can truthfully fill.
-func (r *Run) Result() *sim.Result {
-	res := &sim.Result{
-		Outcome:   sim.OutcomeOK,
-		Trace:     r.Trace,
-		MainEnded: r.Info.MainEnded,
-	}
-	for _, gi := range r.Gs {
-		info := sim.Info{
-			ID:         gi.ID,
-			Name:       gi.Name,
-			System:     gi.System,
-			Reason:     gi.Reason,
-			CreateFile: gi.CreateFile,
-			CreateLine: gi.CreateLine,
-		}
-		res.Goroutines = append(res.Goroutines, info)
-		if gi.Blocked && !gi.System {
-			res.Leaked = append(res.Leaked, info)
-		}
-	}
-	return res
 }

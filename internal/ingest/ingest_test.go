@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"goat/internal/detect"
+	"goat/internal/sim"
 	"goat/internal/trace"
 )
 
@@ -221,7 +222,7 @@ func TestDiffCleanVsLeaky(t *testing.T) {
 // their declared contracts.
 func TestDetectorsOnNativeTrace(t *testing.T) {
 	leaky := parseFixture(t, leakyFixture)
-	res := leaky.Result()
+	res := &sim.Result{Trace: leaky.Trace, MainEnded: leaky.Info.MainEnded}
 
 	// Goat switches to the blocked-at-window-end census (PDL-n) because
 	// the window never settles.
@@ -247,7 +248,7 @@ func TestDetectorsOnNativeTrace(t *testing.T) {
 	// The clean twin: goat reports only main's benign sleep-park census
 	// or OK; whatever the count, it must not attribute chan-send leaks.
 	clean := parseFixture(t, cleanFixture)
-	d = detect.Goat{}.Detect(clean.Result())
+	d = detect.Goat{}.Detect(&sim.Result{Trace: clean.Trace, MainEnded: clean.Info.MainEnded})
 	if d.Verdict != "OK" && !strings.HasPrefix(d.Verdict, "PDL-") {
 		t.Errorf("goat on clean window = %+v", d)
 	}

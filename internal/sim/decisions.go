@@ -1,9 +1,5 @@
 package sim
 
-import (
-	"errors"
-)
-
 // A decider supplies every nondeterministic choice the virtual runtime
 // makes: run-queue picks, handler yield/preempt draws, and select-case
 // choices. Abstracting it lets an execution be recorded as a portable
@@ -75,10 +71,6 @@ func (d *recorder) Chance(p float64) bool {
 	d.log = append(d.log, bit)
 	return v
 }
-
-// ErrScriptExhausted reports a replay that ran out of recorded decisions
-// (the replayed program diverged from the recording).
-var ErrScriptExhausted = errors.New("sim: replay script exhausted")
 
 // scriptDecider replays a recorded decision log. When the script runs dry
 // it falls back to the seeded PRNG and flags the divergence.

@@ -399,8 +399,14 @@ func TestTraceIsValidAndAttributed(t *testing.T) {
 	if err := r.Trace.Validate(); err != nil {
 		t.Fatalf("trace invalid: %v\n%s", err, r.Trace)
 	}
-	ev, ok := r.Trace.Creator(2)
-	if !ok {
+	var ev trace.Event
+	for _, e := range r.Trace.Events {
+		if e.Type == trace.EvGoCreate && e.Peer == 2 {
+			ev = e
+			break
+		}
+	}
+	if ev.Type != trace.EvGoCreate {
 		t.Fatal("no GoCreate for child")
 	}
 	if ev.File != "sim_test.go" || ev.Line == 0 {

@@ -120,27 +120,6 @@ func (t *Trace) Filter(keep func(Event) bool) *Trace {
 	return out
 }
 
-// LastEvent returns the final event of goroutine g and whether g appears in
-// the trace at all.
-func (t *Trace) LastEvent(g GoID) (Event, bool) {
-	for i := len(t.Events) - 1; i >= 0; i-- {
-		if t.Events[i].G == g {
-			return t.Events[i], true
-		}
-	}
-	return Event{}, false
-}
-
-// Creator returns the GoCreate event that spawned g, if any.
-func (t *Trace) Creator(g GoID) (Event, bool) {
-	for _, e := range t.Events {
-		if e.Type == EvGoCreate && e.Peer == g {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
 // CountByType tallies events per type.
 func (t *Trace) CountByType() map[Type]int {
 	m := map[Type]int{}
@@ -162,8 +141,3 @@ func (t *Trace) String() string {
 
 // ErrEmpty is returned by operations that need a non-empty trace.
 var ErrEmpty = errors.New("trace: empty trace")
-
-// Slice returns the events in [from, to) timestamps as a new trace.
-func (t *Trace) Slice(from, to int64) *Trace {
-	return t.Filter(func(e Event) bool { return e.Ts >= from && e.Ts < to })
-}

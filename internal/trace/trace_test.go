@@ -84,33 +84,11 @@ func TestByGoroutinePreservesOrder(t *testing.T) {
 	}
 }
 
-func TestLastEventAndCreator(t *testing.T) {
-	tr := sampleTrace()
-	e, ok := tr.LastEvent(2)
-	if !ok || e.Type != EvGoEnd {
-		t.Fatalf("LastEvent(2) = %v,%v, want GoEnd", e.Type, ok)
-	}
-	c, ok := tr.Creator(2)
-	if !ok || c.Line != 12 {
-		t.Fatalf("Creator(2) = %v,%v, want create at line 12", c, ok)
-	}
-	if _, ok := tr.Creator(1); ok {
-		t.Fatal("main goroutine should have no creator")
-	}
-	if _, ok := tr.LastEvent(99); ok {
-		t.Fatal("unknown goroutine should have no last event")
-	}
-}
-
 func TestFilterAndSlice(t *testing.T) {
 	tr := sampleTrace()
 	chans := tr.Filter(func(e Event) bool { return CategoryOf(e.Type) == CatChannel })
 	if chans.Len() != 3 {
 		t.Fatalf("channel events = %d, want 3", chans.Len())
-	}
-	mid := tr.Slice(3, 6)
-	if mid.Len() != 3 {
-		t.Fatalf("Slice(3,6) = %d events, want 3", mid.Len())
 	}
 }
 
