@@ -194,14 +194,8 @@ func strandSig(g *leakG) trace.StrandSig {
 // stranded applies the shared classification: parked on something that
 // can leak, not runtime infrastructure, not a long-lived worker.
 func stranded(g *leakG) bool {
-	if !g.blocked || g.system {
-		return false
-	}
-	switch g.reason {
-	case trace.BlockSleep, trace.BlockNone, trace.BlockNet, trace.BlockSyscall:
-		return false
-	}
-	return !trace.WorkerShaped(g.reason, g.orphan, g.wakes)
+	return g.blocked && !g.system && trace.CanStrand(g.reason) &&
+		!trace.WorkerShaped(g.reason, g.orphan, g.wakes)
 }
 
 // censusNow records one window boundary: how many goroutines are

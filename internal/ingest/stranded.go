@@ -58,7 +58,7 @@ func (s Stranded) String() string {
 // StrandedOpts tunes the classifier.
 type StrandedOpts struct {
 	// IncludeWorkers reports long-lived-worker-shaped goroutines too
-	// (normally suppressed, see isWorkerShaped).
+	// (normally suppressed, see trace.WorkerShaped).
 	IncludeWorkers bool
 }
 
@@ -67,11 +67,13 @@ type StrandedOpts struct {
 //
 //   - system goroutines (runtime infrastructure) never count;
 //   - goroutines parked on sleep, in a syscall, on network I/O, or with
-//     no reason are idle (or making kernel-side progress), not stuck;
+//     no reason are idle (or making kernel-side progress), not stuck
+//     (trace.CanStrand);
 //   - worker-shaped goroutines — orphans or receive/select-parked
 //     goroutines that were woken during the window — are presumed to be
 //     long-lived pools waiting for more work (the classic native-trace
-//     false positive), unless IncludeWorkers asks for them.
+//     false positive), unless IncludeWorkers asks for them
+//     (trace.WorkerShaped).
 //
 // Everything else blocked at window end is reported, grouped and
 // ordered by signature so output is deterministic.
@@ -84,14 +86,10 @@ func (r *Run) StrandedGoroutines(opts StrandedOpts) []Stranded {
 	}
 	var es []entry
 	for _, gi := range r.Gs {
-		if !gi.Blocked || gi.System || gi.Ended {
+		if !gi.Blocked || gi.System || gi.Ended || !trace.CanStrand(gi.Reason) {
 			continue
 		}
-		if gi.Reason == trace.BlockSleep || gi.Reason == trace.BlockNone ||
-			gi.Reason == trace.BlockNet || gi.Reason == trace.BlockSyscall {
-			continue
-		}
-		if !opts.IncludeWorkers && isWorkerShaped(gi) {
+		if !opts.IncludeWorkers && trace.WorkerShaped(gi.Reason, gi.Orphan, gi.Wakes) {
 			continue
 		}
 		s := Stranded{
@@ -125,10 +123,4 @@ func (r *Run) StrandedGoroutines(opts StrandedOpts) []Stranded {
 		i = j
 	}
 	return out
-}
-
-// isWorkerShaped applies the shared long-lived-worker suppression rule
-// (trace.WorkerShaped) to an ingested goroutine.
-func isWorkerShaped(gi *GInfo) bool {
-	return trace.WorkerShaped(gi.Reason, gi.Orphan, gi.Wakes)
 }

@@ -4,10 +4,10 @@
 // leak detector (internal/detect) decide whether a parked goroutine is
 // a stranded leak or an idle worker, and both report offenders by a
 // stable class identity rather than by ephemeral goroutine ID. The
-// signature format and the worker-suppression rule live here so the two
-// classifiers cannot drift: a leak planted in a simulated service
-// kernel and the same leak captured from a native run produce the same
-// signature string.
+// signature format, the idle-park rule and the worker-suppression rule
+// live here so the two classifiers cannot drift: a leak planted in a
+// simulated service kernel and the same leak captured from a native run
+// produce the same signature string.
 package trace
 
 import (
@@ -46,6 +46,17 @@ func TrimPath(p string) string {
 		return p
 	}
 	return strings.Join(parts[len(parts)-2:], "/")
+}
+
+// CanStrand reports whether a goroutine parked for reason can be stranded.
+// Sleeping, in a syscall, on network I/O or with no recorded reason it is
+// idle or making kernel-side progress, not stuck.
+func CanStrand(reason BlockReason) bool {
+	switch reason {
+	case BlockSleep, BlockNone, BlockNet, BlockSyscall:
+		return false
+	}
+	return true
 }
 
 // WorkerShaped reports whether a blocked goroutine matches the
