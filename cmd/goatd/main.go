@@ -23,7 +23,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"goat/internal/fabric"
@@ -101,7 +100,7 @@ func serve(args []string) error {
 	if err != nil {
 		return fmt.Errorf("bad -faults spec: %w", err)
 	}
-	kernels, err := selectKernels(*bugs)
+	kernels, err := goker.Select(*bugs)
 	if err != nil {
 		return err
 	}
@@ -257,28 +256,4 @@ func work(args []string) error {
 	default:
 		return err
 	}
-}
-
-// selectKernels resolves the -bugs flag to a kernel subset (nil selects
-// the full suite).
-func selectKernels(spec string) ([]goker.Kernel, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []goker.Kernel
-	for _, id := range strings.Split(spec, ",") {
-		id = strings.TrimSpace(id)
-		if id == "" {
-			continue
-		}
-		k, ok := goker.ByID(id)
-		if !ok {
-			return nil, fmt.Errorf("unknown bug %q in -bugs (try goat -list)", id)
-		}
-		out = append(out, k)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-bugs selected no kernels")
-	}
-	return out, nil
 }

@@ -61,6 +61,22 @@ func TestByID(t *testing.T) {
 	}
 }
 
+func TestSelect(t *testing.T) {
+	if ks, err := Select(""); ks != nil || err != nil {
+		t.Fatalf(`Select("") = %v, %v; want nil, nil`, ks, err)
+	}
+	ks, err := Select(" moby_28462 , etcd_7443")
+	if err != nil || len(ks) != 2 || ks[0].ID != "moby_28462" || ks[1].ID != "etcd_7443" {
+		t.Fatalf("Select(two IDs) = %v, %v", ks, err)
+	}
+	if _, err := Select("nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf(`Select("nope") error = %v, want it to name "nope"`, err)
+	}
+	if _, err := Select(", ,"); err == nil || err.Error() != "-bugs selected no kernels" {
+		t.Fatalf(`Select(", ,") error = %v`, err)
+	}
+}
+
 // TestEveryBugManifests is the suite's core guarantee: for every kernel,
 // some schedule within a bounded search (seeds × delay bounds) produces
 // the expected symptom, and GoAT detects it.

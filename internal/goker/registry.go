@@ -18,6 +18,7 @@ package goker
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"goat/internal/sim"
 )
@@ -134,6 +135,31 @@ func ByID(id string) (Kernel, bool) {
 		return Kernel{}, false
 	}
 	return kernels[i], true
+}
+
+// Select resolves a -bugs flag value, comma-separated kernel IDs, to the
+// kernels it names, in order. An empty value selects nil, which callers
+// read as the full suite.
+func Select(ids string) ([]Kernel, error) {
+	if ids == "" {
+		return nil, nil
+	}
+	var out []Kernel
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.TrimSpace(id)
+		if id == "" {
+			continue
+		}
+		k, ok := ByID(id)
+		if !ok {
+			return nil, fmt.Errorf("unknown bug %q in -bugs (try goat -list)", id)
+		}
+		out = append(out, k)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-bugs selected no kernels")
+	}
+	return out, nil
 }
 
 // Projects returns the distinct project names, sorted.
