@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -76,6 +77,38 @@ func TestStreamingCellMatchesPostHoc(t *testing.T) {
 	}
 	if traced.Found.Result.Trace == nil {
 		t.Error("detecting run lost its trace to the pool")
+	}
+}
+
+// TestDetectingRunKeepsItsTrace: a buffering campaign that keeps running
+// past its detection reuses trace storage for the later runs, yet the
+// detecting run's ECT must come back intact — event for event the trace
+// a fresh run of the same plan records.
+func TestDetectingRunKeepsItsTrace(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		cfg := cellConfig(t)
+		cfg.NeedTrace = true
+		cfg.StopOnFound = false
+		cfg.Parallel = par
+		rep, err := engine.Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", par, err)
+		}
+		if rep.Found == nil || rep.Found.Index >= cfg.Runs-1 {
+			t.Fatalf("parallel=%d: want a detection before the last run, got %v", par, rep.Found)
+		}
+		if rep.Runs != cfg.Runs {
+			t.Fatalf("parallel=%d: campaign ran %d/%d executions", par, rep.Runs, cfg.Runs)
+		}
+		got := rep.Found.Result.Trace
+		if got == nil {
+			t.Fatalf("parallel=%d: detecting run lost its trace", par)
+		}
+		want := sim.Run(cfg.Plan(rep.Found.Index, nil), cfg.Prog).Trace
+		if !reflect.DeepEqual(got.Events, want.Events) {
+			t.Errorf("parallel=%d: run %d's kept trace (%d events) differs from a fresh run's (%d events)",
+				par, rep.Found.Index, got.Len(), want.Len())
+		}
 	}
 }
 
