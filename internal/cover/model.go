@@ -240,7 +240,7 @@ type RunStats struct {
 // streaming RunSink, which campaigns attach directly to the run instead.
 func (m *Model) AddRun(tr *trace.Trace) RunStats {
 	s := m.StreamRun()
-	_ = tr.Replay(s) // a buffered trace's Replay cannot fail
+	tr.Replay(s)
 	return s.Finish()
 }
 

@@ -70,7 +70,7 @@ func (g Goat) Detect(r *sim.Result) Detection {
 		return d
 	}
 	s := g.NewStream()
-	_ = r.Trace.Replay(s) // buffered replay cannot fail; source propagates to the stream
+	r.Trace.Replay(s) // source propagates to the stream
 	return s.Finish(r)
 }
 

@@ -21,21 +21,20 @@ import (
 )
 
 // Leak is the windowed slow-leak detector. The zero value uses the
-// defaults below; it is not part of the paper's Table IV lineup (All),
-// it extends it for service-shaped workloads.
+// default window; it is not part of the paper's Table IV lineup, it
+// extends it for service-shaped workloads.
 type Leak struct {
 	// Window is the census interval in events (default 4096). Smaller
 	// windows react faster but see more transient congestion.
 	Window int
-	// MinGrowth is the census growth (strands beyond the baseline)
-	// required to call a leak (default 3) — one stray stranded
-	// goroutine is a bug report for Goat, not a population trend.
-	MinGrowth int
 }
 
 const (
-	defaultLeakWindow    = 4096
-	defaultLeakMinGrowth = 3
+	defaultLeakWindow = 4096
+	// leakMinGrowth is the census growth (strands beyond the baseline)
+	// required to call a leak: one stray stranded goroutine is a bug
+	// report for Goat, not a population trend.
+	leakMinGrowth = 3
 )
 
 // Name implements Detector.
@@ -46,7 +45,7 @@ func (Leak) Name() string { return "leak" }
 func (l Leak) Detect(r *sim.Result) Detection {
 	s := l.NewStream()
 	if r.Trace != nil {
-		_ = r.Trace.Replay(s)
+		r.Trace.Replay(s)
 	}
 	return s.Finish(r)
 }
@@ -57,11 +56,7 @@ func (l Leak) NewStream() Stream {
 	if w <= 0 {
 		w = defaultLeakWindow
 	}
-	mg := l.MinGrowth
-	if mg <= 0 {
-		mg = defaultLeakMinGrowth
-	}
-	d := &LeakStream{window: int64(w), minGrowth: mg, gs: map[trace.GoID]*leakG{}}
+	d := &LeakStream{window: int64(w), gs: map[trace.GoID]*leakG{}}
 	d.reset()
 	return d
 }
@@ -86,8 +81,7 @@ type leakG struct {
 // immediately, so the tracked set is the live population — bounded by
 // the program's actual goroutine count, not the trace length.
 type LeakStream struct {
-	window    int64
-	minGrowth int
+	window int64
 
 	gs     map[trace.GoID]*leakG
 	events int64
@@ -253,7 +247,7 @@ func (d *LeakStream) FinalStrands() []StrandCount {
 // The windowed verdict fires when the stale-strand census is
 // non-decreasing from its baseline (the second boundary — the first at
 // which a goroutine created in window one can be stale) and has grown
-// by at least MinGrowth: LEAK-n, n counting the strands accumulated
+// by at least leakMinGrowth: LEAK-n, n counting the strands accumulated
 // beyond steady state. Steady pools are absorbed by the baseline;
 // census dips (a presumed strand that woke up) veto the verdict.
 //
@@ -283,7 +277,7 @@ func (d *LeakStream) Finish(r *sim.Result) Detection {
 				offending = i + 1
 			}
 		}
-		if growth := last - base; monotone && growth >= d.minGrowth {
+		if growth := last - base; monotone && growth >= leakMinGrowth {
 			rate := float64(growth) / float64(len(d.census)-2)
 			detail := fmt.Sprintf(
 				"goroutine census grew %d -> %d across windows 2..%d of %d events (first growth at window %d, +%.2f strands/window)",

@@ -26,7 +26,7 @@ func (LockDL) Name() string { return "lockdl" }
 func (l LockDL) Detect(r *sim.Result) Detection {
 	s := l.NewStream()
 	if r.Trace != nil {
-		_ = r.Trace.Replay(s) // source propagates: op-less producers disable the analysis
+		r.Trace.Replay(s) // source propagates: op-less producers disable the analysis
 	}
 	return s.Finish(r)
 }

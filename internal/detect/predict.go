@@ -73,7 +73,7 @@ func (Predictive) Name() string { return "predict" }
 func (p Predictive) Detect(r *sim.Result) Detection {
 	s := p.NewStream()
 	if r.Trace != nil {
-		_ = r.Trace.Replay(s) // source propagates: op-less producers disable the mining
+		r.Trace.Replay(s) // source propagates: op-less producers disable the mining
 	}
 	return s.Finish(r)
 }
@@ -86,7 +86,7 @@ func (Predictive) NewStream() Stream { return NewPredictStream() }
 func Predict(tr *trace.Trace) []Candidate {
 	s := NewPredictStream()
 	if tr != nil {
-		_ = tr.Replay(s)
+		tr.Replay(s)
 	}
 	return s.Candidates()
 }

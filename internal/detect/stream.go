@@ -5,13 +5,6 @@
 // thin wrappers that replay a buffered trace through the same core, so
 // the two paths cannot drift: a stream observed live and a stream
 // replayed from the ECT yield identical verdicts.
-//
-// A streaming core may additionally implement trace.Stopper to signal an
-// early stop: once its verdict is decided no further observation can
-// change it, so the scheduler halts the world instead of running the
-// schedule out (LockDL's lock-order cycle is the genuinely early case —
-// the cycle warning is latched the moment the closing edge appears,
-// possibly thousands of dispatches before the run would settle).
 package detect
 
 import (
@@ -39,19 +32,17 @@ type Streaming interface {
 	NewStream() Stream
 }
 
-// EarlyStopper marks streams whose early-stop signalling can be toggled:
-// enabled, the stream requests a world-stop as soon as its verdict is
-// decided (the run is then classified sim.OutcomeStopped). Disabled (the
-// default), the stream observes the full run, which keeps it verdict-
-// and byte-equivalent to the post-hoc path.
+// EarlyStopper is a stream's former early-stop switch. Nothing in this
+// module implements or calls it: the benchmark's timing wrappers
+// (bench/wrap.go) still name it, and the next change to the benchmark
+// deletes both.
 type EarlyStopper interface {
 	EnableEarlyStop()
 }
 
 // Resettable marks streams a campaign may recycle across executions:
-// Reset returns the stream to its initial state (keeping its early-stop
-// configuration), so a hot campaign loop runs its detector without any
-// per-execution allocation.
+// Reset returns the stream to its initial state, so a hot campaign loop
+// runs its detector without any per-execution allocation.
 type Resettable interface {
 	Stream
 	Reset()
@@ -74,11 +65,9 @@ type goatG struct {
 // the tree from a buffered trace after the fact. The goroutine states are
 // held by value so tracking a spawn costs no allocation.
 type GoatStream struct {
-	gs        map[trace.GoID]goatG
-	events    int
-	err       string // malformed stream, latched (mirrors gtree.Build)
-	panicSeen bool
-	earlyStop bool
+	gs     map[trace.GoID]goatG
+	events int
+	err    string // malformed stream, latched (mirrors gtree.Build)
 
 	// Producer guarantees (trace.SourceAware). Without CapCreateObserved
 	// a goroutine may introduce itself by its own GoStart (window
@@ -109,20 +98,9 @@ func (d *GoatStream) Reset() {
 	d.gs[1] = goatG{app: true}
 	d.events = 0
 	d.err = ""
-	d.panicSeen = false
 	d.windowed = false
 	d.incomplete = false
 }
-
-// EnableEarlyStop implements EarlyStopper. The blocked-goroutine verdict
-// itself is settle-decided (the scheduler already stops the world then),
-// so the only genuinely early decision is a crash — which also ends the
-// run — making this a no-op in practice; it exists so campaign engines
-// can treat every stream uniformly.
-func (d *GoatStream) EnableEarlyStop() { d.earlyStop = true }
-
-// StopRequested implements trace.Stopper.
-func (d *GoatStream) StopRequested() bool { return d.earlyStop && d.panicSeen }
 
 // Event implements trace.Sink.
 func (d *GoatStream) Event(e trace.Event) {
@@ -144,11 +122,8 @@ func (d *GoatStream) Event(e trace.Event) {
 	}
 	g.last = e.Type
 	d.gs[e.G] = g
-	switch e.Type {
-	case trace.EvGoCreate:
+	if e.Type == trace.EvGoCreate {
 		d.gs[e.Peer] = goatG{app: g.app && e.Aux != 1}
-	case trace.EvGoPanic:
-		d.panicSeen = true
 	}
 }
 
@@ -167,7 +142,7 @@ func (d *GoatStream) Close() {}
 // post-hoc Goat.Detect exactly.
 func (d *GoatStream) Finish(r *sim.Result) Detection {
 	det := d.finish(r)
-	flushStreamTelemetry(d.events, 0, det)
+	flushStreamTelemetry(d.events, det)
 	return det
 }
 
@@ -234,16 +209,12 @@ func (d *GoatStream) finish(r *sim.Result) Detection {
 // every mutex event into the per-goroutine locksets and the lock-order
 // graph as it happens. Double-lock warnings are latched at the offending
 // event (matching where the post-hoc scan returns); the cycle check runs
-// at Finish — or, with early-stop enabled, incrementally on every new
-// edge, so a campaign run halts the moment the cycle closes.
+// at Finish.
 type LockDLStream struct {
-	graph     lockGraph
-	held      map[trace.GoID]map[trace.ResID]bool
-	warn      string
-	earlyStop bool
-	cycleHit  bool
-	events    int // events consumed this run
-	warnAt    int // event count when the warning latched (0 = never)
+	graph  lockGraph
+	held   map[trace.GoID]map[trace.ResID]bool
+	warn   string
+	events int // events consumed this run
 
 	// disabled is latched by SetSource when the producer lacks
 	// CapOpEvents: without uncontended acquisitions and unlocks the
@@ -263,9 +234,6 @@ func (LockDL) NewStream() Stream {
 	return &LockDLStream{held: map[trace.GoID]map[trace.ResID]bool{}}
 }
 
-// EnableEarlyStop implements EarlyStopper.
-func (d *LockDLStream) EnableEarlyStop() { d.earlyStop = true }
-
 // Reset implements Resettable. The goroutine lockset map is retained
 // (inner sets are rebuilt as goroutines lock); the lock-order graph is
 // rebuilt from scratch. Source-based disablement is dropped: the next
@@ -274,28 +242,8 @@ func (d *LockDLStream) Reset() {
 	d.graph = lockGraph{}
 	clear(d.held)
 	d.warn = ""
-	d.cycleHit = false
 	d.events = 0
-	d.warnAt = 0
 	d.disabled = false
-}
-
-// StopRequested implements trace.Stopper.
-func (d *LockDLStream) StopRequested() bool { return d.earlyStop && d.warn != "" }
-
-// addEdge records a lock-order edge and, in early-stop mode, re-runs the
-// cycle check the moment a new edge appears. The check is the same
-// deterministic scan Finish uses, so the early warning is rendered
-// exactly as the post-run one would be.
-func (d *LockDLStream) addEdge(from, to trace.ResID) {
-	isNew := !d.graph.edges[from][to]
-	d.graph.add(from, to)
-	if d.earlyStop && !d.cycleHit && isNew {
-		if warn := d.graph.cycle(); warn != "" {
-			d.cycleHit = true
-			d.warn = warn
-		}
-	}
 }
 
 // Event implements trace.Sink. Blocked acquisitions record lock-order
@@ -312,11 +260,6 @@ func (d *LockDLStream) Event(e trace.Event) {
 		// operation into one phantom lock.
 		return
 	}
-	defer func() {
-		if d.warn != "" && d.warnAt == 0 {
-			d.warnAt = d.events
-		}
-	}()
 	switch e.Type {
 	case trace.EvGoBlock:
 		reason := e.BlockReason()
@@ -328,7 +271,7 @@ func (d *LockDLStream) Event(e trace.Event) {
 				d.warn = fmt.Sprintf("double lock of r%d in g%d at %s:%d", e.Res, e.G, e.File, e.Line)
 				return
 			}
-			d.addEdge(h, e.Res)
+			d.graph.add(h, e.Res)
 		}
 	case trace.EvMutexLock, trace.EvRWLock, trace.EvRLock:
 		hs := d.held[e.G]
@@ -342,7 +285,7 @@ func (d *LockDLStream) Event(e trace.Event) {
 					d.warn = fmt.Sprintf("double lock of r%d in g%d at %s:%d", e.Res, e.G, e.File, e.Line)
 					return
 				}
-				d.addEdge(h, e.Res)
+				d.graph.add(h, e.Res)
 			}
 		}
 		hs[e.Res] = true
@@ -375,11 +318,7 @@ func (d *LockDLStream) Close() {}
 // crash, then the lock-discipline warning, then the application timeout.
 func (d *LockDLStream) Finish(r *sim.Result) Detection {
 	det := d.finish(r)
-	lag := 0
-	if d.warnAt > 0 {
-		lag = d.events - d.warnAt
-	}
-	flushStreamTelemetry(d.events, lag, det)
+	flushStreamTelemetry(d.events, det)
 	return det
 }
 
@@ -412,19 +351,14 @@ func (d *LockDLStream) finish(r *sim.Result) Detection {
 }
 
 // flushStreamTelemetry batches one finished stream's observations into
-// the registry: events consumed, whether the run detected, and — when
-// the verdict latched mid-run — how many further events arrived before
-// the world stopped (the early-stop latency).
-func flushStreamTelemetry(events, stopLag int, det Detection) {
+// the registry: events consumed and whether the run detected.
+func flushStreamTelemetry(events int, det Detection) {
 	if !telemetry.Enabled() {
 		return
 	}
 	telemetry.DetectEvents.Add(int64(events))
 	if det.Found {
 		telemetry.DetectDetections.Inc()
-	}
-	if stopLag > 0 {
-		telemetry.DetectStopLatency.Observe(int64(stopLag))
 	}
 }
 

@@ -25,38 +25,19 @@ func abbaEvents() []trace.Event {
 	}
 }
 
-func TestLockDLStreamEarlyStopOnCycle(t *testing.T) {
-	events := abbaEvents()
-
-	// Default mode: the cycle check runs at Finish, never mid-stream.
+// TestLockDLStreamFindsCycleAtFinish: the lock-order cycle check runs
+// at Finish, over the whole run's graph, never mid-stream.
+func TestLockDLStreamFindsCycleAtFinish(t *testing.T) {
 	s := LockDL{}.NewStream().(*LockDLStream)
-	for _, e := range events {
+	for _, e := range abbaEvents() {
 		s.Event(e)
-		if s.StopRequested() {
-			t.Fatalf("stop requested at ts %d without early-stop enabled", e.Ts)
+		if s.warn != "" {
+			t.Fatalf("warning latched mid-stream at ts %d: %q", e.Ts, s.warn)
 		}
 	}
 	d := s.Finish(&sim.Result{Outcome: sim.OutcomeOK})
 	if !d.Found || d.Verdict != "DL" {
 		t.Fatalf("post-run verdict %+v", d)
-	}
-
-	// Early-stop mode: the stop latches the moment the closing edge appears.
-	es := LockDL{}.NewStream().(*LockDLStream)
-	es.EnableEarlyStop()
-	stopAt := int64(0)
-	for _, e := range events {
-		es.Event(e)
-		if es.StopRequested() && stopAt == 0 {
-			stopAt = e.Ts
-		}
-	}
-	if stopAt != 6 {
-		t.Fatalf("stop latched at ts %d, want 6 (the cycle-closing lock)", stopAt)
-	}
-	de := es.Finish(&sim.Result{Outcome: sim.OutcomeStopped, EarlyStopped: true})
-	if !de.Found || de.Verdict != "DL" || de.Detail != d.Detail {
-		t.Fatalf("early-stopped verdict %+v, want the full run's %+v", de, d)
 	}
 }
 

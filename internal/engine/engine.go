@@ -32,12 +32,12 @@ type Feedback struct {
 	Index int
 	// Options are the scheduling options the run executed under. The
 	// engine's internal wiring (ECT buffer, sink chain) is scrubbed from
-	// the copy: those fields alias per-run machinery that is recycled.
+	// the copy: those fields alias per-run machinery the next run reuses.
 	Options sim.Options
 	// Result is the run's classified execution result. Result.Trace is
 	// nil unless the campaign buffers its runs, and then only valid until
-	// OnRun returns: the engine recycles the buffer afterwards (except
-	// for the detecting run's).
+	// OnRun returns: the next run reuses the buffer (except after the
+	// detecting run, which keeps its own).
 	Result *sim.Result
 	// Detection is the detector's verdict (nil without a Detector).
 	Detection *detect.Detection
@@ -69,13 +69,6 @@ type Config struct {
 	// NeedTrace makes every run buffer its ECT in Result.Trace, for
 	// callers that read it (reports, trace artifacts, schedule analyses).
 	NeedTrace bool
-	// EarlyStop lets streaming detectors halt a run the moment their
-	// verdict is decided (sim.OutcomeStopped). Off, every run is observed
-	// to its natural end, keeping verdicts byte-identical to the post-hoc
-	// pipeline; on, a run that would have ended in a crash or timeout
-	// after the verdict was already decided is classified by the verdict
-	// instead.
-	EarlyStop bool
 	// Sinks are extra event sinks attached to every run.
 	Sinks []trace.Sink
 
@@ -117,15 +110,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Runs <= 0 {
 		return nil, fmt.Errorf("engine: Runs must be positive, got %d", cfg.Runs)
 	}
-	// Buffered runs recycle their ECT storage through one pool; a
-	// trace-free campaign needs none.
-	var pool *trace.Pool
-	if cfg.buffers() {
-		pool = trace.NewPool()
-		defer flushPoolStats(pool)
-	}
 	if cfg.Parallel > 1 && cfg.OnRun == nil && cfg.Coverage == nil {
-		return runParallel(ctx, &cfg, pool)
+		return runParallel(ctx, &cfg)
 	}
 	rep := &Report{}
 	var prev *Feedback
@@ -134,7 +120,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		fb := runOne(&cfg, pool, i, prev, &sc)
+		fb := runOne(&cfg, i, prev, &sc)
 		rep.Runs = i + 1
 		found := fb.Detection != nil && fb.Detection.Found
 		if found && rep.Found == nil {
@@ -147,7 +133,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				return rep, err
 			}
 		}
-		recycle(pool, fb, fb == rep.Found)
+		if fb == rep.Found {
+			sc.ect = nil // the caller may still read the detecting run's trace
+		} else {
+			fb.Result.Trace = nil // the next run reuses the buffer
+		}
 		if stop || (cfg.StopOnFound && found) {
 			return rep, nil
 		}
@@ -167,42 +157,29 @@ func (c *Config) buffers() bool {
 	return c.Detector != nil && !streams
 }
 
-// flushPoolStats adds a campaign's pool counters to the telemetry
-// registry.
-func flushPoolStats(p *trace.Pool) {
-	if telemetry.Enabled() {
-		g, h := p.Stats()
-		telemetry.EnginePoolGets.Add(g)
-		telemetry.EnginePoolHits.Add(h)
-	}
-}
-
 // scratch is the per-run machinery one sequential loop or one parallel
-// worker reuses across its runs: the sink-chain backing slice and, when
-// the detector's stream is detect.Resettable, the stream itself. Nothing
-// in it escapes a run — the Feedback keeps a scrubbed Options copy.
+// worker reuses across its runs: the sink-chain backing slice, the ECT
+// buffer of a buffering campaign and, when the detector's stream is
+// detect.Resettable, the stream itself. Only the ECT buffer escapes a
+// run, in the run's Result; the Feedback keeps a scrubbed Options copy.
 type scratch struct {
 	sinks  []trace.Sink
 	stream detect.Resettable
 	tsink  *telemetry.Sink // per-worker event-category tally (nil when telemetry is off)
+	ect    *trace.Trace    // allocated on first use; dropped when a detecting run keeps it
 }
 
 // runOne executes one campaign run: attach the analyses as sinks, run
-// the program, finish the analyses. pool is nil for trace-free runs.
-func runOne(cfg *Config, pool *trace.Pool, i int, prev *Feedback, sc *scratch) *Feedback {
+// the program, finish the analyses.
+func runOne(cfg *Config, i int, prev *Feedback, sc *scratch) *Feedback {
 	opts := cfg.Plan(i, prev)
 
 	var stream detect.Stream
 	if sc.stream != nil {
-		sc.stream.Reset() // early-stop configuration survives Reset
+		sc.stream.Reset()
 		stream = sc.stream
 	} else if s, ok := cfg.Detector.(detect.Streaming); ok {
 		stream = s.NewStream()
-		if cfg.EarlyStop {
-			if es, ok := stream.(detect.EarlyStopper); ok {
-				es.EnableEarlyStop()
-			}
-		}
 		if r, ok := stream.(detect.Resettable); ok {
 			sc.stream = r
 		}
@@ -212,9 +189,12 @@ func runOne(cfg *Config, pool *trace.Pool, i int, prev *Feedback, sc *scratch) *
 		covSink = cfg.Coverage.StreamRun()
 	}
 
-	opts.NoTrace = pool == nil
-	if pool != nil {
-		opts.ECT = pool.Get()
+	opts.NoTrace = !cfg.buffers()
+	if !opts.NoTrace {
+		if sc.ect == nil {
+			sc.ect = trace.New(1024)
+		}
+		opts.ECT = sc.ect
 	}
 	if sc.tsink == nil && telemetry.Enabled() {
 		sc.tsink = telemetry.NewSink()
@@ -242,13 +222,10 @@ func runOne(cfg *Config, pool *trace.Pool, i int, prev *Feedback, sc *scratch) *
 	if !t0.IsZero() {
 		telemetry.EngineRuns.Inc()
 		telemetry.EngineRunWall.Observe(time.Since(t0).Nanoseconds())
-		if r.Outcome == sim.OutcomeStopped {
-			telemetry.EngineEarlyStops.Inc()
-		}
 	}
 	fb := &Feedback{Index: i, Options: opts, Result: r}
 	fb.Options.Sinks = nil // engine wiring: the scratch is reused next run
-	fb.Options.ECT = nil   // engine wiring: the pool may recycle the buffer
+	fb.Options.ECT = nil   // engine wiring: the next run reuses the buffer
 
 	if covSink != nil {
 		st := covSink.Finish()
@@ -264,23 +241,12 @@ func runOne(cfg *Config, pool *trace.Pool, i int, prev *Feedback, sc *scratch) *
 	return fb
 }
 
-// recycle returns a run's trace buffer to the pool unless the run is
-// kept (the campaign's detecting run, whose trace the caller may still
-// read). The recycled Result's Trace is nilled so no alias survives.
-func recycle(pool *trace.Pool, fb *Feedback, keep bool) {
-	if pool == nil || keep || fb == nil || fb.Result == nil || fb.Result.Trace == nil {
-		return
-	}
-	pool.Put(fb.Result.Trace)
-	fb.Result.Trace = nil
-}
-
 // runParallel is the concurrent campaign: workers claim run indices in
 // order, and the first detection by minimal index wins, so the reported
 // cell matches the sequential campaign's. With StopOnFound, workers stop
 // claiming indices past the best detection but runs already in flight
 // complete (one of them may detect at a lower index).
-func runParallel(ctx context.Context, cfg *Config, pool *trace.Pool) (*Report, error) {
+func runParallel(ctx context.Context, cfg *Config) (*Report, error) {
 	workers := cfg.Parallel
 	if workers > cfg.Runs {
 		workers = cfg.Runs
@@ -333,14 +299,12 @@ func runParallel(ctx context.Context, cfg *Config, pool *trace.Pool) (*Report, e
 				if i < 0 {
 					return
 				}
-				fb := runOne(cfg, pool, i, nil, &sc)
+				fb := runOne(cfg, i, nil, &sc)
 				mu.Lock()
 				if fb.Detection != nil && fb.Detection.Found &&
 					(found == nil || fb.Index < found.Index) {
-					recycle(pool, found, false) // dethroned detection
 					found = fb
-				} else {
-					recycle(pool, fb, false)
+					sc.ect = nil // the detecting run keeps this worker's buffer
 				}
 				mu.Unlock()
 			}

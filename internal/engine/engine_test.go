@@ -76,7 +76,7 @@ func TestStreamingCellMatchesPostHoc(t *testing.T) {
 		t.Error("trace-free cell buffered a trace")
 	}
 	if traced.Found.Result.Trace == nil {
-		t.Error("detecting run lost its trace to the pool")
+		t.Error("detecting run lost its trace")
 	}
 }
 
@@ -215,72 +215,25 @@ func TestParallelWorkersShareHostPool(t *testing.T) {
 	}
 }
 
-// abbaProg takes two locks in both orders (planting a lock-order cycle
-// early) and then spins, so a full observation is much longer than an
-// early-stopped one.
-func abbaProg(spin int) func(*sim.G) {
-	return func(g *sim.G) {
-		a := conc.NewMutex(g)
-		b := conc.NewMutex(g)
-		a.Lock(g)
-		b.Lock(g)
-		b.Unlock(g)
-		a.Unlock(g)
-		b.Lock(g)
-		a.Lock(g)
-		a.Unlock(g)
-		b.Unlock(g)
-		for i := 0; i < spin; i++ {
-			g.Yield()
-		}
-	}
-}
-
-func TestEarlyStopShortensDecidedRun(t *testing.T) {
-	run := func(early bool) *engine.Report {
-		rep, err := engine.Run(context.Background(), engine.Config{
-			Prog: abbaProg(500),
-			Plan: func(i int, _ *engine.Feedback) sim.Options {
-				return sim.Options{Seed: 1}
-			},
-			Runs:        1,
-			Detector:    detect.LockDL{},
-			EarlyStop:   early,
-			StopOnFound: true,
-		})
-		if err != nil {
-			t.Fatalf("early=%v: %v", early, err)
-		}
-		if rep.Found == nil {
-			t.Fatalf("early=%v: cycle not detected", early)
-		}
-		return rep
-	}
-	full := run(false)
-	fast := run(true)
-	for _, rep := range []*engine.Report{full, fast} {
-		if rep.Found.Detection.Verdict != "DL" {
-			t.Fatalf("verdict %+v, want DL", rep.Found.Detection)
-		}
-	}
-	if fast.Found.Detection.Detail != full.Found.Detection.Detail {
-		t.Errorf("early-stop changed the warning: %q vs %q",
-			fast.Found.Detection.Detail, full.Found.Detection.Detail)
-	}
-	r := fast.Found.Result
-	if r.Outcome != sim.OutcomeStopped || !r.EarlyStopped {
-		t.Errorf("early-stopped run classified %v (EarlyStopped=%v), want STOP", r.Outcome, r.EarlyStopped)
-	}
-	if r.Steps >= full.Found.Result.Steps {
-		t.Errorf("early stop did not shorten the run: %d vs %d steps", r.Steps, full.Found.Result.Steps)
-	}
+// abbaProg takes two locks in both orders, planting a lock-order cycle.
+func abbaProg(g *sim.G) {
+	a := conc.NewMutex(g)
+	b := conc.NewMutex(g)
+	a.Lock(g)
+	b.Lock(g)
+	b.Unlock(g)
+	a.Unlock(g)
+	b.Lock(g)
+	a.Lock(g)
+	a.Unlock(g)
+	b.Unlock(g)
 }
 
 func TestOnRunObservesRunsInOrderWithCoverage(t *testing.T) {
 	model := cover.NewModel(nil)
 	var seen []int
 	rep, err := engine.Run(context.Background(), engine.Config{
-		Prog: abbaProg(0),
+		Prog: abbaProg,
 		Plan: func(i int, _ *engine.Feedback) sim.Options {
 			return sim.Options{Seed: int64(i)}
 		},

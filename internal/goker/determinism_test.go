@@ -93,16 +93,10 @@ func serviceSweep() []*kernelgen.ServiceProg {
 
 // perEvent adds the trace.Unbatched marker to a stream, so the scheduler
 // delivers every event to it as it is emitted instead of in blocks.
-// Event, Close and Finish come from the embedded stream; StopRequested
-// is forwarded because the scheduler polls every trace.Stopper sink.
+// Event, Close and Finish come from the embedded stream.
 type perEvent struct{ detect.Stream }
 
 func (perEvent) Unbatched() {}
-
-func (p perEvent) StopRequested() bool {
-	st, ok := p.Stream.(trace.Stopper)
-	return ok && st.StopRequested()
-}
 
 // serviceOpts builds the sweep options: full ECT, a detector panel on
 // the sink path, delivered per event or in blocks.
@@ -126,8 +120,8 @@ func serviceOpts(p *kernelgen.ServiceProg, seed int64, unbatched bool) (sim.Opti
 // byte-identical with batched sink emission on and off, every streaming
 // detector must return the same verdict in both modes, and a recorded
 // schedule must replay without divergence. This is the invariant the
-// campaign-throughput batching rides on — flushing sinks at dispatch
-// boundaries is a delivery optimization, never an observable change.
+// campaign-throughput batching rides on — flushing sinks in blocks is a
+// delivery optimization, never an observable change.
 func TestServiceKernelDeterminism(t *testing.T) {
 	for _, p := range serviceSweep() {
 		p := p

@@ -100,7 +100,7 @@ type CPUSample struct {
 }
 
 // DefaultCPUPeriodNs is the runtime CPU profiler's default sampling
-// period (100 Hz), assumed when the capture does not say otherwise.
+// period (100 Hz). Build charges every CPU sample this much.
 const DefaultCPUPeriodNs = 10_000_000
 
 // Options configures a build.
@@ -112,14 +112,6 @@ type Options struct {
 
 	// CPUSamples are the capture's profiling-clock hits, if any.
 	CPUSamples []CPUSample
-
-	// CPUPeriodNs overrides the assumed CPU sampling period.
-	CPUPeriodNs int64
-
-	// IncludeSystem keeps runtime-internal goroutines in the block,
-	// mutex and goroutine profiles (they are suppressed by default, like
-	// everywhere else in the stack).
-	IncludeSystem bool
 }
 
 // gProf tracks one goroutine through the fold.
@@ -314,7 +306,7 @@ func Build(t *trace.Trace, opts Options) *Set {
 		if d < 0 {
 			d = 0
 		}
-		if g.system && !opts.IncludeSystem {
+		if g.system {
 			return
 		}
 		k := pseudoStack(g, siteFrame(g))
@@ -402,7 +394,7 @@ func Build(t *trace.Trace, opts Options) *Set {
 			endSpan(g, endNs)
 			g.blocked = true // remains parked for the census below
 		}
-		if g.ended || (g.system && !opts.IncludeSystem) {
+		if g.ended || g.system {
 			continue
 		}
 		leaf := Frame{Func: g.name, File: g.createFile, Line: g.createLine}
@@ -418,19 +410,15 @@ func Build(t *trace.Trace, opts Options) *Set {
 		Goroutine: census.finish(KindGoroutine, endNs),
 	}
 	if len(opts.CPUSamples) > 0 {
-		period := opts.CPUPeriodNs
-		if period <= 0 {
-			period = DefaultCPUPeriodNs
-		}
 		cpu := newBuilder()
 		for _, s := range opts.CPUSamples {
 			if len(s.Stack) == 0 {
 				continue
 			}
-			cpu.addStack(s.Stack, 1, period)
+			cpu.addStack(s.Stack, 1, DefaultCPUPeriodNs)
 		}
 		set.CPU = cpu.finish(KindCPU, endNs)
-		set.CPU.PeriodNs = period
+		set.CPU.PeriodNs = DefaultCPUPeriodNs
 	}
 	return set
 }

@@ -121,10 +121,6 @@ func TestSystemGoroutinesSuppressed(t *testing.T) {
 	if set := Build(tr, Options{}); len(set.Block.Samples) != 0 {
 		t.Errorf("system park leaked into the block profile:\n%s", set.Block.Top(0))
 	}
-	set := Build(tr, Options{IncludeSystem: true})
-	if len(set.Block.Samples) != 1 {
-		t.Errorf("IncludeSystem dropped the system park:\n%s", set.Block.Top(0))
-	}
 }
 
 // TestSamplesMergeByFoldedStack pins that samples are keyed by their

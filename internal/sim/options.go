@@ -50,16 +50,14 @@ type Options struct {
 	// Combined with NoTrace this runs the pipeline trace-free (online
 	// detectors and coverage only, no event buffering); with tracing on,
 	// the buffered ECT and the sink streams are byte-identical views of
-	// the same execution. A sink implementing trace.Stopper may request an
-	// early stop: the scheduler halts the world at the next dispatch
-	// boundary and the run is classified OutcomeStopped. Sinks never draw
-	// scheduling decisions, so Record/Replay scripts are unaffected.
+	// the same execution. Sinks never draw scheduling decisions, so
+	// Record/Replay scripts are unaffected.
 	Sinks []trace.Sink
 
 	// ECT, when non-nil, is used (after Reset) as the execution's trace
-	// buffer instead of allocating a fresh one — the pooled-buffer mode
-	// campaigns use to recycle event storage across executions (see
-	// trace.Pool). Ignored when NoTrace is set.
+	// buffer instead of allocating a fresh one, so a campaign can reuse
+	// event storage across executions (each engine worker keeps one
+	// buffer, see internal/engine). Ignored when NoTrace is set.
 	ECT *trace.Trace
 
 	// Delays is the paper's bound D: the maximum number of forced yields

@@ -27,15 +27,9 @@ const (
 	OutcomeTimeout
 	// OutcomeCrash means a goroutine panicked.
 	OutcomeCrash
-	// OutcomeStopped means a streaming sink (an online detector) decided
-	// its verdict mid-run and requested an early stop: the world was
-	// halted before settling, so no settle-time classification exists.
-	// The requesting detector's verdict is the run's authoritative
-	// classification.
-	OutcomeStopped
 )
 
-var outcomeNames = [...]string{"OK", "GDL", "PDL", "TO", "CRASH", "STOP"}
+var outcomeNames = [...]string{"OK", "GDL", "PDL", "TO", "CRASH"}
 
 // String returns the paper-style outcome tag.
 func (o Outcome) String() string {
@@ -61,10 +55,6 @@ type Result struct {
 	MainEnded  bool
 	PanicVal   any
 	PanicG     trace.GoID
-
-	// EarlyStopped reports that the run was halted by a streaming sink's
-	// early-stop request (Outcome == OutcomeStopped).
-	EarlyStopped bool
 
 	// OpRunnable records, per CU handler invocation (index i = op i+1),
 	// how many other goroutines were runnable at that point

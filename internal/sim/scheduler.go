@@ -47,15 +47,12 @@ type Scheduler struct {
 	timers   timerHeap
 	timerSeq int64
 
-	ect      *trace.Trace
-	sinks    []trace.Sink  // all sinks (Close order)
-	live     []trace.Sink  // per-event delivery (trace.Unbatched sinks)
-	batched  []trace.Sink  // block delivery via the emission batch
-	batch    []trace.Event // pending sink delivery (NoTrace runs only; else the ECT tail is the block)
-	flushed  int           // events of s.ect already delivered to batched sinks
-	stoppers []trace.Stopper
-	stopArr  [4]trace.Stopper // inline backing for stoppers (alloc-free)
-	stopReq  bool             // a sink requested an early stop
+	ect     *trace.Trace
+	sinks   []trace.Sink  // all sinks (Close order)
+	live    []trace.Sink  // per-event delivery (trace.Unbatched sinks)
+	batched []trace.Sink  // block delivery via the emission batch
+	batch   []trace.Event // pending sink delivery (NoTrace runs only; else the ECT tail is the block)
+	flushed int           // events of s.ect already delivered to batched sinks
 
 	nextRes trace.ResID
 
@@ -99,7 +96,6 @@ func newScheduler(opts Options) *Scheduler {
 	s.yieldLeft = opts.Delays
 	s.timers = s.timers[:0]
 	s.timerSeq = 0
-	s.stopReq = false
 	s.nextRes = 0
 	s.mainEnded, s.stopping, s.panicked = false, false, false
 	s.panicVal, s.panicG = nil, 0
@@ -144,12 +140,6 @@ func newScheduler(opts Options) *Scheduler {
 			s.batched = append(s.batched, snk)
 		}
 	}
-	s.stoppers = s.stopArr[:0]
-	for _, snk := range s.sinks {
-		if st, ok := snk.(trace.Stopper); ok {
-			s.stoppers = append(s.stoppers, st)
-		}
-	}
 	s.faults = fault.NewPlan(opts.Seed, opts.Faults)
 	s.stalled = s.stalled[:0]
 	s.cancels = s.cancels[:0]
@@ -168,8 +158,6 @@ func (s *Scheduler) release() {
 	s.live = s.live[:0]
 	s.batched = s.batched[:0]
 	s.batch = s.batch[:0]
-	s.stopArr = [4]trace.Stopper{}
-	s.stoppers = nil
 	s.dec = nil
 	s.yieldAt = nil
 	s.opRunnable, s.opActor, s.eventOps = nil, nil, nil
@@ -207,11 +195,10 @@ const sinkBlock = 256
 // Emit stamps an event with the next logical timestamp and appends it to
 // the configured consumers: the buffered ECT immediately (unless tracing
 // is disabled), trace.Unbatched sinks per event, every other sink in
-// sinkBlock-sized blocks. Blocks are flushed when full and at every
-// early-stop poll, so an online detector observes exactly the event
-// prefix it would have seen under per-event delivery at each dispatch
-// boundary — early-stop timing and record/replay are batching-invariant
-// (the service-kernel determinism sweep pins this).
+// sinkBlock-sized blocks. Blocks are flushed when full and when the run
+// ends, so every sink observes the same events in the same order as
+// under per-event delivery (the service-kernel determinism sweep pins
+// this).
 func (s *Scheduler) Emit(e trace.Event) {
 	if s.stopping {
 		// stopWorld unwinding: defers in user code still run (unlocks,
@@ -257,7 +244,8 @@ func (s *Scheduler) Emit(e trace.Event) {
 }
 
 // flushSinks delivers the pending emission block to every sink, in
-// order. When a run buffers an ECT the block is a window into that
+// order. Emit calls it when the block is full and Run once more when the
+// run ends. When a run buffers an ECT the block is a window into that
 // buffer (events are staged once, in Append); only NoTrace runs stage
 // into the side batch. Sinks implementing trace.BatchSink take the
 // whole block in one call; the backing array is the live ECT buffer or
@@ -286,24 +274,6 @@ func (s *Scheduler) flushSinks() {
 		s.flushed = len(s.ect.Events)
 	} else {
 		s.batch = s.batch[:0]
-	}
-}
-
-// pollStoppers asks the early-stop sinks whether the world should halt.
-// It runs at dispatch boundaries, not per event: a goroutine's current
-// slice finishes undisturbed, and the stop lands before the next one.
-// Pending batched events are flushed first, so the decision is made on
-// the full prefix up to this boundary.
-func (s *Scheduler) pollStoppers() {
-	if len(s.stoppers) == 0 {
-		return
-	}
-	s.flushSinks()
-	for _, st := range s.stoppers {
-		if st.StopRequested() {
-			s.stopReq = true
-			return
-		}
 	}
 }
 
@@ -437,8 +407,7 @@ func (g *G) yield(ev trace.Type, file string, line int) {
 // keep the processor because the scheduler loop, run to its next
 // dispatch, would inevitably pick it again. That is the case when the
 // run queue is empty (the yielder would be its only member), no stalled
-// goroutine could rejoin it, no early stop is requested once pending
-// events are delivered, and the step budget allows another dispatch.
+// goroutine could rejoin it, and the step budget allows another dispatch.
 // When it returns true it has applied exactly the dispatch bookkeeping
 // (step count, slice reset) the loop would have; scheduling decisions
 // are untouched either way, because a single-entry run queue draws none.
@@ -448,12 +417,6 @@ func (s *Scheduler) fastRedispatch() bool {
 	}
 	if s.steps >= s.budget || s.ops >= s.budget*64 {
 		return false
-	}
-	if len(s.stoppers) > 0 {
-		s.pollStoppers()
-		if s.stopReq {
-			return false
-		}
 	}
 	s.steps++
 	s.sliceOps = 0
@@ -579,13 +542,6 @@ loop:
 			outcome = OutcomeCrash
 			break
 		}
-		s.pollStoppers()
-		if s.stopReq {
-			// A streaming sink decided its verdict: halt the world here
-			// instead of running the schedule out.
-			outcome = OutcomeStopped
-			break
-		}
 		if mainG.state == StateDone && !s.mainEnded {
 			s.mainEnded = true
 			// Main returned: surviving goroutines get a bounded drain to
@@ -685,10 +641,9 @@ func (s *Scheduler) result(outcome Outcome, mainG *G) *Result {
 		PanicVal:  s.panicVal,
 		PanicG:    s.panicG,
 
-		EarlyStopped: outcome == OutcomeStopped,
-		OpRunnable:   s.opRunnable,
-		OpActor:      s.opActor,
-		EventOps:     s.eventOps,
+		OpRunnable: s.opRunnable,
+		OpActor:    s.opActor,
+		EventOps:   s.eventOps,
 	}
 	for _, g := range s.gs[:s.ng] {
 		info := g.info()

@@ -255,14 +255,6 @@ func TestSystemGoroutinesExcludedFromLeaks(t *testing.T) {
 	}
 }
 
-// stopOnCreate is an early-stop sink that asks for a stop once it has
-// seen a goroutine created.
-type stopOnCreate struct{ stop bool }
-
-func (s *stopOnCreate) Event(e trace.Event) { s.stop = s.stop || e.Type == trace.EvGoCreate }
-func (s *stopOnCreate) Close()              {}
-func (s *stopOnCreate) StopRequested() bool { return s.stop }
-
 // TestNoRealGoroutineLeakAcrossRuns drives every way a host can leave
 // its job, 200 runs each, and requires every run to give back each host
 // it took: the idle pool ends as exactly the set of hosts it started
@@ -299,14 +291,6 @@ func TestNoRealGoroutineLeakAcrossRuns(t *testing.T) {
 				defer c.Go("late", stuck)
 				stuck(c)
 			})
-			g.Yield()
-		}},
-		{"never dispatched after early stop", func() Options {
-			o := quiet()
-			o.Sinks = []trace.Sink{&stopOnCreate{}}
-			return o
-		}, OutcomeStopped, func(g *G) {
-			g.Go("late", stuck)
 			g.Yield()
 		}},
 		{"never dispatched after crash", quiet, OutcomeCrash, func(g *G) {

@@ -30,84 +30,29 @@ func TestSinkObservesBufferedStream(t *testing.T) {
 	}
 }
 
-// stopAfterSink requests an early stop once it has seen n events.
-type stopAfterSink struct {
-	after  int
-	events int
-	closed bool
-}
-
-func (s *stopAfterSink) Event(trace.Event)   { s.events++ }
-func (s *stopAfterSink) Close()              { s.closed = true }
-func (s *stopAfterSink) StopRequested() bool { return s.events >= s.after }
-
-func TestEarlyStopHaltsTheWorld(t *testing.T) {
-	spin := func(g *G) {
-		for i := 0; i < 200; i++ {
-			g.Yield()
-		}
-	}
-	full := Run(quiet(), spin)
-	if full.Outcome != OutcomeOK {
-		t.Fatalf("reference outcome %v", full.Outcome)
-	}
-
-	sink := &stopAfterSink{after: 5}
-	opts := quiet()
-	opts.Sinks = []trace.Sink{sink}
-	r := Run(opts, spin)
-	if r.Outcome != OutcomeStopped || !r.EarlyStopped {
-		t.Fatalf("outcome %v earlyStopped %v, want STOP", r.Outcome, r.EarlyStopped)
-	}
-	if r.Outcome.String() != "STOP" {
-		t.Fatalf("outcome string %q", r.Outcome)
-	}
-	if r.Steps >= full.Steps {
-		t.Fatalf("early stop did not shorten the run: %d vs %d steps", r.Steps, full.Steps)
-	}
-	if !sink.closed {
-		t.Fatal("sink not closed after the stop")
-	}
-	// The partial stream is still a prefix of the full one.
-	if r.Trace.Len() >= full.Trace.Len() {
-		t.Fatalf("stopped trace has %d events, full %d", r.Trace.Len(), full.Trace.Len())
-	}
-	if !reflect.DeepEqual(r.Trace.Events, full.Trace.Events[:r.Trace.Len()]) {
-		t.Fatal("stopped trace is not a prefix of the full trace")
-	}
-}
-
 func TestPooledECTReuse(t *testing.T) {
-	pool := trace.NewPool()
+	buf := trace.New(0)
 	opts := quiet()
-	opts.ECT = pool.Get()
+	opts.ECT = buf
 	r1 := Run(opts, streamProg)
-	if r1.Trace != opts.ECT {
+	if r1.Trace != buf {
 		t.Fatal("run did not record into the provided buffer")
 	}
 	ref := append([]trace.Event{}, r1.Trace.Events...)
-	pool.Put(r1.Trace)
 
-	reused := pool.Get()
-	if reused != opts.ECT {
-		t.Fatal("pool did not recycle the buffer")
-	}
-	opts2 := quiet()
-	opts2.ECT = reused
-	r2 := Run(opts2, streamProg)
-	if r2.Trace != reused {
-		t.Fatal("second run did not record into the recycled buffer")
+	r2 := Run(opts, streamProg)
+	if r2.Trace != buf {
+		t.Fatal("second run did not record into the reused buffer")
 	}
 	if !reflect.DeepEqual(r2.Trace.Events, ref) {
-		t.Fatal("recycled-buffer run differs from the first run")
+		t.Fatal("reused-buffer run differs from the first run")
 	}
 }
 
 func TestPooledECTIgnoredWhenNoTrace(t *testing.T) {
-	pool := trace.NewPool()
 	opts := quiet()
 	opts.NoTrace = true
-	opts.ECT = pool.Get()
+	opts.ECT = trace.New(0)
 	r := Run(opts, streamProg)
 	if r.Trace != nil {
 		t.Fatal("NoTrace must win over a provided ECT buffer")

@@ -114,22 +114,22 @@ func Explore(prog func(*sim.G), cfg Config) *Finding {
 			telemetry.SysPlacementsRun.Add(int64(runs))
 		}
 	}()
-	try := func(yields []int64) *Finding {
+	try := func(yields []int64) (*Finding, *sim.Result) {
 		runs++
 		r := runWith(prog, cfg.Seed, yields)
 		if d := goat.Detect(r); d.Found {
 			sorted := append([]int64{}, yields...)
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			return &Finding{Seed: cfg.Seed, Yields: sorted, Runs: runs, Detection: d}
+			return &Finding{Seed: cfg.Seed, Yields: sorted, Runs: runs, Detection: d}, r
 		}
-		return nil
+		return nil, r
 	}
 
 	// The base schedule first: a deterministic bug needs no yields.
-	if f := try(nil); f != nil {
+	f, base := try(nil)
+	if f != nil {
 		return f
 	}
-	base := runWith(prog, cfg.Seed, nil)
 	n := int64(base.Ops)
 	if n == 0 {
 		return nil
@@ -139,7 +139,7 @@ func Explore(prog func(*sim.G), cfg Config) *Finding {
 	// Exhaustive single-yield sweep while the budget lasts; it subsumes
 	// random sampling for D=1 and finds most narrow windows immediately.
 	for op := int64(1); op <= n && runs < cfg.maxRuns(); op++ {
-		if f := try([]int64{op}); f != nil {
+		if f, _ := try([]int64{op}); f != nil {
 			return f
 		}
 	}
@@ -162,7 +162,7 @@ func Explore(prog func(*sim.G), cfg Config) *Finding {
 		for op := range set {
 			yields = append(yields, op)
 		}
-		if f := try(yields); f != nil {
+		if f, _ := try(yields); f != nil {
 			return f
 		}
 	}

@@ -27,19 +27,15 @@ var (
 	SimOpsPerRun  = Default.Histogram("sim.ops_per_run", CountBuckets)
 
 	// Campaign engine (internal/engine).
-	EngineRuns       = Default.Counter("engine.runs")
-	EngineEarlyStops = Default.Counter("engine.early_stops")
-	EngineRunWall    = Default.Histogram("engine.run_wall_ns", DurationBuckets)
-	EnginePoolGets   = Default.Counter("engine.pool_gets")
-	EnginePoolHits   = Default.Counter("engine.pool_hits")
+	EngineRuns    = Default.Counter("engine.runs")
+	EngineRunWall = Default.Histogram("engine.run_wall_ns", DurationBuckets)
 
 	// ECT stream (telemetry.Sink riding the trace.Sink chain).
 	ECTEvents = Default.Counter("ect.events")
 
 	// Online detectors (internal/detect).
-	DetectEvents      = Default.Counter("detect.events")
-	DetectDetections  = Default.Counter("detect.detections")
-	DetectStopLatency = Default.Histogram("detect.stop_latency_events", CountBuckets)
+	DetectEvents     = Default.Counter("detect.events")
+	DetectDetections = Default.Counter("detect.detections")
 
 	// Systematic explorer (internal/systematic).
 	SysPlacementsRun    = Default.Counter("systematic.placements_run")

@@ -1,7 +1,5 @@
 package trace
 
-import "sync"
-
 // Sink consumes a stream of ECT events as an execution produces them.
 //
 // The virtual runtime stamps each event with its logical timestamp before
@@ -14,10 +12,9 @@ type Sink interface {
 	Close()
 }
 
-// Stopper is the optional early-stop side of a sink: an online analysis
-// (a streaming detector) reports that its verdict is decided and the
-// execution may halt. The scheduler polls StopRequested after each
-// delivered event and stops the world at the next dispatch boundary.
+// Stopper is a sink's former early-stop side. Nothing in this module
+// implements or polls it: the benchmark's timing wrappers (bench/wrap.go)
+// still name it, and the next change to the benchmark deletes both.
 type Stopper interface {
 	StopRequested() bool
 }
@@ -55,7 +52,7 @@ func (t *Trace) EventBatch(evs []Event) { t.Events = append(t.Events, evs...) }
 func (t *Trace) Close() {}
 
 // Reset truncates the trace in place, keeping the backing array so the
-// buffer can be reused by a later execution (see Pool).
+// buffer can be reused by a later execution (see sim.Options.ECT).
 func (t *Trace) Reset() { t.Events = t.Events[:0] }
 
 // MultiSink fans one event stream out to several sinks, in order.
@@ -90,69 +87,6 @@ func (m MultiSink) Close() {
 	for _, s := range m {
 		s.Close()
 	}
-}
-
-// StopRequested implements Stopper: the fan-out requests a stop as soon
-// as any member that supports early-stop does.
-func (m MultiSink) StopRequested() bool {
-	for _, s := range m {
-		if st, ok := s.(Stopper); ok && st.StopRequested() {
-			return true
-		}
-	}
-	return false
-}
-
-// Pool recycles trace buffers across the executions of a campaign. A
-// *Trace drawn from a Pool is the "pooled-buffer sink": attached to one
-// execution (as Options.ECT or an extra sink) it records into storage a
-// previous execution already grew, so a thousand-run campaign settles
-// into zero per-run event allocation after the first few runs. Pools are
-// safe for concurrent use by parallel campaign workers.
-type Pool struct {
-	mu   sync.Mutex
-	free []*Trace
-	gets int64 // total Get calls
-	hits int64 // Gets served from a recycled buffer
-}
-
-// NewPool returns an empty pool.
-func NewPool() *Pool { return &Pool{} }
-
-// Get returns an empty trace, reusing a recycled buffer when one is
-// available.
-func (p *Pool) Get() *Trace {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.gets++
-	if n := len(p.free); n > 0 {
-		t := p.free[n-1]
-		p.free = p.free[:n-1]
-		t.Reset()
-		p.hits++
-		return t
-	}
-	return New(1024)
-}
-
-// Stats reports the pool's lifetime Get count and how many of those
-// reused a recycled buffer (telemetry reads the delta per campaign).
-func (p *Pool) Stats() (gets, hits int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.gets, p.hits
-}
-
-// Put recycles a trace's storage for a future Get. The caller must not
-// use t (or slices into its events) afterwards.
-func (p *Pool) Put(t *Trace) {
-	if t == nil {
-		return
-	}
-	t.Reset()
-	p.mu.Lock()
-	p.free = append(p.free, t)
-	p.mu.Unlock()
 }
 
 // RingSink is the flight recorder: a fixed-capacity ring buffer that

@@ -27,12 +27,10 @@ func TestTraceIsASink(t *testing.T) {
 type recordingSink struct {
 	events []Event
 	closed int
-	stop   bool
 }
 
-func (s *recordingSink) Event(e Event)       { s.events = append(s.events, e) }
-func (s *recordingSink) Close()              { s.closed++ }
-func (s *recordingSink) StopRequested() bool { return s.stop }
+func (s *recordingSink) Event(e Event) { s.events = append(s.events, e) }
+func (s *recordingSink) Close()        { s.closed++ }
 
 func TestMultiSinkFansOut(t *testing.T) {
 	a, b := &recordingSink{}, &recordingSink{}
@@ -45,34 +43,6 @@ func TestMultiSinkFansOut(t *testing.T) {
 			t.Fatalf("member %d: %d event(s), %d close(s)", i, len(s.events), s.closed)
 		}
 	}
-	if m.StopRequested() {
-		t.Fatal("no member requested a stop")
-	}
-	b.stop = true
-	if !m.StopRequested() {
-		t.Fatal("member stop request not propagated")
-	}
-}
-
-func TestPoolRecyclesBuffers(t *testing.T) {
-	p := NewPool()
-	first := p.Get()
-	for ts := int64(1); ts <= 100; ts++ {
-		first.Event(ev(ts))
-	}
-	p.Put(first)
-	got := p.Get()
-	if got != first {
-		t.Fatal("Get after Put must return the recycled buffer")
-	}
-	if got.Len() != 0 || cap(got.Events) < 100 {
-		t.Fatalf("recycled buffer: len %d, cap %d", got.Len(), cap(got.Events))
-	}
-	// An exhausted pool hands out fresh traces.
-	if other := p.Get(); other == first {
-		t.Fatal("pool handed the same buffer out twice")
-	}
-	p.Put(nil) // must be a no-op
 }
 
 func TestRingSinkPartialFill(t *testing.T) {
@@ -157,19 +127,5 @@ func TestRingSinkReset(t *testing.T) {
 	snap := r.Snapshot()
 	if snap.Len() != 1 || snap.Events[0] != ev(8) {
 		t.Fatalf("ring after Reset: %v", snap.Events)
-	}
-}
-
-func TestPoolStats(t *testing.T) {
-	p := NewPool()
-	a := p.Get()
-	p.Get()
-	if gets, hits := p.Stats(); gets != 2 || hits != 0 {
-		t.Fatalf("stats after cold Gets: %d/%d", gets, hits)
-	}
-	p.Put(a)
-	p.Get()
-	if gets, hits := p.Stats(); gets != 3 || hits != 1 {
-		t.Fatalf("stats after recycled Get: %d/%d", gets, hits)
 	}
 }

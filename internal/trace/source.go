@@ -97,31 +97,17 @@ func (t *Trace) SourceInfo() SourceInfo {
 	return t.Source
 }
 
-// EventSource is the producer contract: one execution's event stream
-// together with the guarantees its producer makes. The virtual runtime
-// satisfies it live (sim.Scheduler stamps every trace it fills), a
-// buffered *Trace satisfies it by replay, and the native ingester
-// (internal/ingest) satisfies it for converted runtime/trace captures.
-type EventSource interface {
-	// SourceInfo describes the producer and its guarantees.
-	SourceInfo() SourceInfo
-	// Replay delivers the events, in order, to the sink. It does not
-	// call Close — the caller owns the sink's lifecycle.
-	Replay(s Sink) error
-}
-
-// Replay implements EventSource: a buffered trace replays itself.
-// Sinks implementing SourceAware learn the producer first, so replay
-// through a streaming consumer behaves exactly like live observation
-// under the same source.
-func (t *Trace) Replay(s Sink) error {
+// Replay delivers the trace's events, in order, to the sink. It does not
+// call Close: the caller owns the sink's lifecycle. Sinks implementing
+// SourceAware learn the producer first, so replay through a streaming
+// consumer behaves exactly like live observation under the same source.
+func (t *Trace) Replay(s Sink) {
 	if sa, ok := s.(SourceAware); ok {
 		sa.SetSource(t.SourceInfo())
 	}
 	for _, e := range t.Events {
 		s.Event(e)
 	}
-	return nil
 }
 
 // SourceAware marks sinks that adapt their behavior to the producer's
